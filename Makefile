@@ -90,18 +90,20 @@ bench:
 	$(GO) run ./cmd/corebench -out BENCH_core.json
 	$(GO) run ./cmd/loadgen -out BENCH_loadgen.json
 
-# The steady-state allocation gate: the reused scheduling kernel and the
-# gap-profile evaluation must not allocate at all once their buffers are
-# warm; a warm RunBatch request must stay within its 8-alloc arena-backed
-# per-request budget; and a warm /v1/schedule cache hit must stay within its
+# The steady-state allocation gate: the reused scheduling kernel, the
+# gap-profile evaluation and the warm fault-tolerant profile resets must not
+# allocate at all once their buffers are warm; a warm RunBatch request must
+# stay within its 8-alloc arena-backed per-request budget, and a warm K=1
+# request within its own budget (the plain tail plus the backup plans it
+# returns); and a warm /v1/schedule cache hit must stay within its
 # handler-layer bound (decode + graph build + digest only — never a
 # re-render). These budgets are the strict (non--race) ones; the same tests
 # run widened under `make race`. CI fails the build if any test reports
 # allocations over its bound.
 alloc-gate:
 	$(GO) test -run 'TestScheduleIntoSteadyStateZeroAlloc' -count=1 -v ./internal/sched
-	$(GO) test -run 'TestGapProfileEvaluateZeroAlloc' -count=1 -v ./internal/energy
-	$(GO) test -run 'TestRunBatchSteadyStateZeroAlloc' -count=1 -v ./internal/core
+	$(GO) test -run 'TestGapProfileEvaluateZeroAlloc|TestResetFTSteadyStateZeroAlloc' -count=1 -v ./internal/energy
+	$(GO) test -run 'TestRunBatchSteadyStateZeroAlloc|TestRunBatchFaultsSteadyStateAllocBound' -count=1 -v ./internal/core
 	$(GO) test -run 'TestScheduleWarmCacheHitAllocBound' -count=1 -v ./internal/server
 
 # The heterogeneous-platform gate. The parity half is the tentpole
@@ -137,12 +139,14 @@ store-gate:
 # byte-identical to no block at all across all six approaches, homogeneous
 # and heterogeneous, end to end through the serving layer. The invariant
 # half holds the K≥1 path to the independent verifier — backup-plan
-# legality, bit-for-bit FT energy, simulator/verifier agreement on replayed
-# fault patterns, detection of every backup corruption class — and to the
-# digest/serving contract (distinct keys per K and policy, byte-stable
-# bodies through cache, singleflight and a store warm restart, under -race).
+# legality, bit-identical placement against the linear-scan reference
+# planner (random graphs plus the fuzz seed corpus), bit-for-bit FT
+# energy, simulator/verifier agreement on replayed fault patterns,
+# detection of every backup corruption class — and to the digest/serving
+# contract (distinct keys per K and policy, byte-stable bodies through
+# cache, singleflight and a store warm restart, under -race).
 ft-gate:
-	$(GO) test -run 'TestPlanBackups|TestBackupPlan' -count=1 -v ./internal/sched
+	$(GO) test -run 'TestPlanBackups|TestBackupPlan|FuzzBackupPlanMatchesReference' -count=1 -v ./internal/sched
 	$(GO) test -run 'TestResetFT|TestResetPlatformFT' -count=1 -v ./internal/energy
 	$(GO) test -run 'TestSelfTestFaults|TestFaultPlan' -count=1 -v ./internal/verify
 	$(GO) test -run 'TestReplayFaults' -count=1 -v ./internal/sim

@@ -273,6 +273,44 @@ func kernelBenchmarks(gs []*dag.Graph) ([]kernelReport, error) {
 		}),
 	)
 
+	// Platform counterpart of the reused-planner row: the primary-HP/
+	// backup-LP policy on the LP×(nprocs−1) + HP×1 machine, which exercises
+	// the class-restricted candidate set and scaled backup durations.
+	if _, err := bplanner.Plan(&plat, pf, sched.PrimaryHPBackupLP); err != nil {
+		return nil, err
+	}
+	out = append(out, measure("backup_plan_platform_hp_lp_reused_planner", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := bplanner.Plan(&plat, pf, sched.PrimaryHPBackupLP); err != nil {
+				benchErr = err
+				b.FailNow()
+			}
+		}
+	}))
+
+	// Gap-profile extraction alone, plain and fault-tolerant, on the same
+	// schedule: the warm FT reset merges the plan's per-processor backup
+	// index into each timeline, so it should stay within a small factor of
+	// the plain reset and, like it, allocate nothing once warm.
+	plan, err := bplanner.Plan(s, nil, sched.BackupAnywhere)
+	if err != nil {
+		return nil, err
+	}
+	var ftProf energy.GapProfile
+	ftProf.ResetFT(s, plan)
+	out = append(out,
+		measure("gap_profile_reset", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				prof.Reset(s)
+			}
+		}),
+		measure("gap_profile_reset_ft", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ftProf.ResetFT(s, plan)
+			}
+		}),
+	)
+
 	// Whole-request row: one warm LAMPS+PS request end to end through
 	// RunBatch — arena-backed run scratch, pooled schedule shells, compact
 	// result detachment. allocs/op here is the per-request figure the core

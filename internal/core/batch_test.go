@@ -290,6 +290,68 @@ func TestRunBatchSteadyStateZeroAlloc(t *testing.T) {
 	t.Logf("batch steady state: %.1f allocs/request", perRequest)
 }
 
+// TestRunBatchFaultsSteadyStateAllocBound is the K=1 counterpart of
+// TestRunBatchSteadyStateZeroAlloc, homogeneous and on a heterogeneous
+// platform: on top of the plain per-request tail, a fault-tolerant request
+// pays only for the backup plans themselves — one plan struct and its two
+// backing arrays per candidate processor count, which the winning
+// candidate's Result keeps. Planner scratch comes from a pool and the FT
+// gap-profile reset merges the planner's per-processor index instead of
+// sorting, so neither allocates once warm.
+func TestRunBatchFaultsSteadyStateAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate skipped in -short mode")
+	}
+	m := power.Default70nm()
+	pf := heteroTestPlatform(t)
+	g := buildFig4a(t, coarseWeight)
+	ft := func(cfg Config, policy FaultPolicy) Config {
+		cfg.Faults = &FaultConfig{K: 1, Policy: policy}
+		return cfg
+	}
+	cases := []struct {
+		name   string
+		reqs   []BatchRequest
+		budget float64 // strict (non-race) allocs per request
+	}{
+		{"model", []BatchRequest{
+			{Approach: ApproachLAMPS, Graph: g, Config: ft(DeadlineFactor(g, m, 3), FaultBackupAnywhere)},
+			{Approach: ApproachLAMPSPS, Graph: g, Config: ft(DeadlineFactor(g, m, 3), FaultBackupAnywhere)},
+		}, 14},
+		{"platform", []BatchRequest{
+			{Approach: ApproachLAMPS, Graph: g, Config: ft(DeadlineFactorPlatform(g, pf, 3), FaultPrimaryHPBackupLP)},
+			{Approach: ApproachLAMPSPS, Graph: g, Config: ft(DeadlineFactorPlatform(g, pf, 3), FaultBackupAnywhere)},
+		}, 17},
+	}
+	eng := Engine{} // serial: measure the per-request loop itself, not goroutine scheduling
+	ctx := context.Background()
+	for _, tc := range cases {
+		run := func() {
+			for _, br := range eng.RunBatch(ctx, tc.reqs) {
+				if br.Err != nil {
+					t.Fatal(br.Err)
+				}
+				if br.Result.Backups == nil {
+					t.Fatalf("%s: K=1 result carries no backup plan", tc.name)
+				}
+			}
+		}
+		for i := 0; i < 5; i++ {
+			run()
+		}
+		perRequest := testing.AllocsPerRun(50, run) / float64(len(tc.reqs))
+		budget := tc.budget
+		if raceEnabled {
+			budget = 80
+		}
+		if perRequest > budget {
+			t.Errorf("%s: fault-tolerant batch hot loop allocates %.1f allocs/request, want <= %g — planner or FT profile scratch reuse regressed",
+				tc.name, perRequest, budget)
+		}
+		t.Logf("%s: fault-tolerant batch steady state: %.1f allocs/request", tc.name, perRequest)
+	}
+}
+
 // TestRunBatchErrorsDoNotLeakDirtyArenas: requests that fail — invalid
 // configs, infeasible deadlines, cancelled contexts — recycle their arenas
 // through the same pool as successful ones. If an error path ever returned

@@ -361,7 +361,9 @@ func (r *run) buildAll(cands []candidate) error {
 		c := &cands[i]
 		c.s, c.err = r.sc.at(c.n)
 		if c.err == nil && ft {
-			c.plan, c.err = r.planBackups(c.s)
+			bp := plannerPool.Get().(*sched.BackupPlanner)
+			c.plan, c.err = r.planBackups(bp, c.s)
+			plannerPool.Put(bp)
 		}
 	})
 	for i := range cands {
@@ -372,11 +374,17 @@ func (r *run) buildAll(cands []candidate) error {
 	return nil
 }
 
-// planBackups plans the backup layer of one built schedule and, under
-// SelfCheck, holds it to the independent plan verifier before the engine
-// evaluates any energy on top of it.
-func (r *run) planBackups(s *sched.Schedule) (*sched.BackupPlan, error) {
-	plan, err := sched.PlanBackups(s, r.pf, r.cfg.faultPolicy())
+// plannerPool recycles backup-planner scratch (per-processor timelines,
+// task order) across candidates and runs; candidates are planned
+// concurrently, so each draws its own. The returned plan's arrays are fresh
+// per call and owned by the caller.
+var plannerPool = sync.Pool{New: func() any { return new(sched.BackupPlanner) }}
+
+// planBackups plans the backup layer of one built schedule on bp's scratch
+// and, under SelfCheck, holds it to the independent plan verifier before
+// the engine evaluates any energy on top of it.
+func (r *run) planBackups(bp *sched.BackupPlanner, s *sched.Schedule) (*sched.BackupPlan, error) {
+	plan, err := bp.Plan(s, r.pf, r.cfg.faultPolicy())
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package energy
 
 import (
 	"slices"
-	"sort"
 
 	"lamps/internal/power"
 	"lamps/internal/sched"
@@ -17,6 +16,11 @@ import (
 // PS and non-PS modes (a reserved processor must stay awake to take over
 // the moment a fault is detected). The profile's makespan is the recovery
 // makespan, so the existing deadline check covers recovery feasibility.
+//
+// Both resets are a pure per-processor merge of two start-ordered lists —
+// Schedule.TasksOn and the planner's BackupPlan.BackupsOn — so they cost
+// O(n) plus the gap sorts, like the plain Reset; plan must therefore come
+// from the planner, which builds that index.
 
 // ResetFT re-extracts the profile from s with plan's backup slots reserved.
 // The profile must be evaluated with Evaluate (homogeneous machine).
@@ -29,15 +33,9 @@ func (p *GapProfile) ResetFT(s *sched.Schedule, plan *sched.BackupPlan) {
 	p.reserved = 0
 	p.inner = p.inner[:0]
 	p.last = p.last[:0]
-	order := p.backupOrder(plan)
-	i := 0
 	for proc := 0; proc < s.NumProcs; proc++ {
 		tasks := s.TasksOn(proc)
-		j := i
-		for i < len(order) && int(plan.Proc[order[i]]) == proc {
-			i++
-		}
-		backs := order[j:i]
+		backs := plan.BackupsOn(proc)
 		if len(tasks) == 0 && len(backs) == 0 {
 			continue // truly unemployed processors are off and contribute nothing
 		}
@@ -89,15 +87,9 @@ func (p *GapProfile) ResetPlatformFT(s *sched.Schedule, pf *power.Platform, plan
 		cg.last = cg.last[:0]
 	}
 	g := s.Graph
-	order := p.backupOrder(plan)
-	i := 0
 	for proc := 0; proc < s.NumProcs; proc++ {
 		tasks := s.TasksOn(proc)
-		j := i
-		for i < len(order) && int(plan.Proc[order[i]]) == proc {
-			i++
-		}
-		backs := order[j:i]
+		backs := plan.BackupsOn(proc)
 		if len(tasks) == 0 && len(backs) == 0 {
 			continue
 		}
@@ -132,27 +124,4 @@ func (p *GapProfile) ResetPlatformFT(s *sched.Schedule, pf *power.Platform, plan
 		cg.innerSum = prefixSums(cg.innerSum, cg.inner)
 		cg.lastSum = prefixSums(cg.lastSum, cg.last)
 	}
-}
-
-// backupOrder returns the task indices sorted by (backup processor, backup
-// start) into the profile's scratch, giving each processor's backups as one
-// contiguous, start-ordered run. Plan slots on one processor never overlap,
-// so the order is total.
-func (p *GapProfile) backupOrder(plan *sched.BackupPlan) []int32 {
-	n := len(plan.Proc)
-	if cap(p.ftOrder) < n {
-		p.ftOrder = make([]int32, n)
-	}
-	p.ftOrder = p.ftOrder[:n]
-	for v := range p.ftOrder {
-		p.ftOrder[v] = int32(v)
-	}
-	sort.Slice(p.ftOrder, func(i, j int) bool {
-		vi, vj := p.ftOrder[i], p.ftOrder[j]
-		if plan.Proc[vi] != plan.Proc[vj] {
-			return plan.Proc[vi] < plan.Proc[vj]
-		}
-		return plan.Start[vi] < plan.Start[vj]
-	})
-	return p.ftOrder
 }

@@ -198,3 +198,43 @@ func TestResetFTChargesReservedAsIdle(t *testing.T) {
 		t.Fatalf("non-PS evaluation produced sleep time")
 	}
 }
+
+// TestResetFTSteadyStateZeroAlloc is the FT counterpart of the warm-Reset
+// half of TestGapProfileEvaluateZeroAlloc: once a profile has absorbed a
+// fault-tolerant schedule, re-extracting it — homogeneous and per class —
+// must not allocate. The resets merge the planner's per-processor backup
+// index, so there is no sort scratch left to grow.
+func TestResetFTSteadyStateZeroAlloc(t *testing.T) {
+	g, err := taskgen.Member(200, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ListEDF(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sched.PlanBackups(s, nil, sched.BackupAnywhere)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p energy.GapProfile
+	p.ResetFT(s, plan)
+	if allocs := testing.AllocsPerRun(100, func() { p.ResetFT(s, plan) }); allocs != 0 {
+		t.Errorf("warm GapProfile.ResetFT allocates %v allocs/op", allocs)
+	}
+
+	pf := ftPlatform(t)
+	var k sched.Scheduler
+	var ps sched.Schedule
+	if err := k.ScheduleIntoPlatform(&ps, g, pf, pf.NumProcs(), sched.LPTPriorities(g), nil); err != nil {
+		t.Fatal(err)
+	}
+	pplan, err := sched.PlanBackups(&ps, pf, sched.PrimaryHPBackupLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ResetPlatformFT(&ps, pf, pplan)
+	if allocs := testing.AllocsPerRun(100, func() { p.ResetPlatformFT(&ps, pf, pplan) }); allocs != 0 {
+		t.Errorf("warm GapProfile.ResetPlatformFT allocates %v allocs/op", allocs)
+	}
+}

@@ -49,10 +49,6 @@ type GapProfile struct {
 	last     []int64 // per-employed-processor last finish, sorted ascending
 	lastSum  []int64 // lastSum[i] = sum of last[:i]; len(last)+1
 
-	// ftOrder is ResetFT/ResetPlatformFT scratch: task indices sorted by
-	// (backup processor, backup start).
-	ftOrder []int32
-
 	// classes holds the per-core-class profile of a heterogeneous platform
 	// schedule, populated by ResetPlatform and read by EvaluatePoint. The
 	// homogeneous Reset/Evaluate pair above ignores it entirely.

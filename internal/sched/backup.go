@@ -3,7 +3,8 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"lamps/internal/power"
 )
@@ -58,6 +59,23 @@ type BackupPlan struct {
 
 	// Policy records the placement policy the plan was built under.
 	Policy FaultPolicy
+
+	// byProc lists the tasks grouped by backup processor, each group in
+	// backup start order; processor p's group is
+	// byProc[byProcOff[p]:byProcOff[p+1]]. The planner fills it from its
+	// per-processor timelines, so consumers that walk each processor's
+	// backups in time order (the fault-tolerant gap profile) need no sort.
+	byProc    []int32
+	byProcOff []int32
+}
+
+// BackupsOn returns the tasks whose backup slot is on processor p, in
+// backup start order — the backup counterpart of Schedule.TasksOn. The
+// index is built by the planner and describes the plan as planned: a plan
+// assembled field by field, or one whose Proc or Start arrays were edited
+// afterwards, has no valid index.
+func (pl *BackupPlan) BackupsOn(p int) []int32 {
+	return pl.byProc[pl.byProcOff[p]:pl.byProcOff[p+1]]
 }
 
 // ReservedCycles returns the total timeline cycles held by backup slots.
@@ -89,9 +107,11 @@ func (pl *BackupPlan) EmployedWith(s *Schedule) int {
 	return n
 }
 
-// backupIv is one reserved interval on a processor's merged timeline.
+// backupIv is one reserved interval on a processor's merged timeline: a
+// primary slot (task < 0) or the backup slot of task.
 type backupIv struct {
 	start, finish int64
+	task          int32
 }
 
 // BackupPlanner carries the scratch of PlanBackups so repeated planning
@@ -101,6 +121,8 @@ type backupIv struct {
 type BackupPlanner struct {
 	ivs   [][]backupIv // per-processor reserved intervals, sorted by start
 	order []int32      // tasks in (primary finish, index) order
+	head  []int32      // per-processor merge cursor into TasksOn
+	dur   []int64      // core class -> backup duration of the current task
 }
 
 // PlanBackups plans one backup slot per task of s under policy. A nil
@@ -114,7 +136,10 @@ func PlanBackups(s *Schedule, pf *power.Platform, policy FaultPolicy) (*BackupPl
 	return bp.Plan(s, pf, policy)
 }
 
-// Plan is PlanBackups on reusable scratch.
+// Plan is PlanBackups on reusable scratch. It runs in O(n·P·log n) for n
+// tasks on P processors: each fit binary-searches to the task's lower bound
+// instead of rescanning the timeline from its start, and stops as soon as
+// it cannot beat the best processor found so far.
 func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolicy) (*BackupPlan, error) {
 	switch policy {
 	case "", BackupAnywhere, PrimaryHPBackupLP:
@@ -124,52 +149,74 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 	if policy == "" {
 		policy = BackupAnywhere
 	}
-	if s.NumProcs < 2 {
-		return nil, fmt.Errorf("%w: schedule uses %d", ErrBackupInfeasible, s.NumProcs)
+	np := s.NumProcs
+	if np < 2 {
+		return nil, fmt.Errorf("%w: schedule uses %d", ErrBackupInfeasible, np)
 	}
 	g := s.Graph
 	n := g.NumTasks()
 
-	if cap(bp.ivs) < s.NumProcs {
-		bp.ivs = make([][]backupIv, s.NumProcs)
-	}
-	bp.ivs = bp.ivs[:s.NumProcs]
-	for p := 0; p < s.NumProcs; p++ {
+	bp.ivs = grow(bp.ivs, np)
+	for p := range np {
 		ivs := bp.ivs[p][:0]
 		// Primary slots seed each processor's reserved timeline; TasksOn is
 		// already in start order.
 		for _, v := range s.TasksOn(p) {
-			ivs = append(ivs, backupIv{s.Start[v], s.Finish[v]})
+			ivs = append(ivs, backupIv{s.Start[v], s.Finish[v], -1})
 		}
 		bp.ivs[p] = ivs
 	}
 
-	if cap(bp.order) < n {
-		bp.order = make([]int32, n)
-	}
-	bp.order = bp.order[:n]
-	for v := range bp.order {
-		bp.order[v] = int32(v)
-	}
 	// (Finish, index) order is topological: weights are positive, so a
-	// successor always finishes strictly after every predecessor.
-	sort.Slice(bp.order, func(i, j int) bool {
-		vi, vj := bp.order[i], bp.order[j]
-		if s.Finish[vi] != s.Finish[vj] {
-			return s.Finish[vi] < s.Finish[vj]
+	// successor always finishes strictly after every predecessor. Each
+	// processor's TasksOn list is already in finish order (its slots never
+	// overlap), so the order is a P-way merge of those lists.
+	bp.order = grow(bp.order, n)
+	bp.head = grow(bp.head, np)
+	clear(bp.head)
+	for k := range bp.order {
+		next, nextProc := int32(-1), 0
+		for p := range np {
+			tasks := s.TasksOn(p)
+			if h := bp.head[p]; int(h) < len(tasks) {
+				v := tasks[h]
+				if next < 0 || s.Finish[v] < s.Finish[next] || s.Finish[v] == s.Finish[next] && v < next {
+					next, nextProc = v, p
+				}
+			}
 		}
-		return vi < vj
-	})
-
-	plan := &BackupPlan{
-		Proc:   make([]int32, n),
-		Start:  make([]int64, n),
-		Finish: make([]int64, n),
-		Policy: policy,
+		bp.order[k] = next
+		bp.head[nextProc]++
 	}
-	ref := -1
+
+	// The primary-HP/backup-LP policy restricts the candidate set to
+	// non-reference-class processors when one other than the primary's
+	// exists; otherwise (homogeneous machine, or the only LP core runs the
+	// primary) it falls back to any other processor. Counting the
+	// non-reference processors once decides that per task in O(1).
+	ref, nonRef := -1, 0
 	if pf != nil {
 		ref = pf.RefClass()
+		for p := range np {
+			if pf.ClassOf(p) != ref {
+				nonRef++
+			}
+		}
+		bp.dur = grow(bp.dur, pf.NumClasses())
+	}
+	hpLP := policy == PrimaryHPBackupLP && pf != nil
+
+	// One allocation per element type: the plan's arrays and its
+	// per-processor index are detached into the caller's result together.
+	ints := make([]int32, 2*n+np+1)
+	times := make([]int64, 2*n)
+	plan := &BackupPlan{
+		Proc:      ints[:n:n],
+		Start:     times[:n:n],
+		Finish:    times[n:],
+		Policy:    policy,
+		byProc:    ints[n : 2*n : 2*n],
+		byProcOff: ints[2*n:],
 	}
 	for _, v := range bp.order {
 		// The backup can start only after the fault is detectable (the
@@ -183,73 +230,99 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 			}
 		}
 		w := g.Weight(int(v))
-
-		// The primary-HP/backup-LP policy restricts the candidate set to
-		// non-reference-class processors when one other than the primary's
-		// exists; otherwise (homogeneous machine, or the only LP core runs
-		// the primary) it falls back to any other processor.
+		prim := int(s.Proc[v])
 		restrict := false
-		if policy == PrimaryHPBackupLP && pf != nil {
-			for p := 0; p < s.NumProcs; p++ {
-				if int32(p) != s.Proc[v] && pf.ClassOf(p) != ref {
-					restrict = true
-					break
-				}
+		if pf != nil {
+			for c := range bp.dur {
+				bp.dur[c] = pf.ScaledWeight(c, w)
 			}
+			others := nonRef
+			if pf.ClassOf(prim) != ref {
+				others--
+			}
+			restrict = hpLP && others > 0
 		}
 
-		bestProc, bestStart, bestFinish := -1, int64(0), int64(0)
-		for p := 0; p < s.NumProcs; p++ {
-			if int32(p) == s.Proc[v] {
-				continue
-			}
-			if restrict && pf.ClassOf(p) == ref {
+		// bestFinish doubles as the fit bound: a processor is taken only on
+		// a strictly earlier finish, which keeps the lowest-index tie-break.
+		bestProc, bestStart, bestFinish, bestAt := -1, int64(0), int64(math.MaxInt64), 0
+		for p := range np {
+			if p == prim {
 				continue
 			}
 			dur := w
 			if pf != nil {
-				dur = pf.ScaledWeight(pf.ClassOf(p), w)
+				c := pf.ClassOf(p)
+				if restrict && c == ref {
+					continue
+				}
+				dur = bp.dur[c]
 			}
-			start := earliestFit(bp.ivs[p], lb, dur)
-			if finish := start + dur; bestProc < 0 || finish < bestFinish {
-				bestProc, bestStart, bestFinish = p, start, finish
+			if lb+dur >= bestFinish {
+				continue
+			}
+			if start, at, ok := earliestFit(bp.ivs[p], lb, dur, bestFinish); ok {
+				bestProc, bestStart, bestFinish, bestAt = p, start, start+dur, at
 			}
 		}
 		if bestProc < 0 {
 			return nil, fmt.Errorf("%w: no processor other than %d eligible for task %d",
-				ErrBackupInfeasible, s.Proc[v], v)
+				ErrBackupInfeasible, prim, v)
 		}
 		plan.Proc[v] = int32(bestProc)
 		plan.Start[v] = bestStart
 		plan.Finish[v] = bestFinish
-		bp.ivs[bestProc] = insertIv(bp.ivs[bestProc], backupIv{bestStart, bestFinish})
+		bp.ivs[bestProc] = slices.Insert(bp.ivs[bestProc], bestAt, backupIv{bestStart, bestFinish, v})
 		if bestFinish > plan.RecoveryMakespan {
 			plan.RecoveryMakespan = bestFinish
 		}
 	}
+
+	k := int32(0)
+	for p := range np {
+		plan.byProcOff[p] = k
+		for _, iv := range bp.ivs[p] {
+			if iv.task >= 0 {
+				plan.byProc[k] = iv.task
+				k++
+			}
+		}
+	}
+	plan.byProcOff[np] = k
 	return plan, nil
 }
 
-// earliestFit returns the earliest start >= lb at which a slot of dur cycles
-// fits between the sorted, non-overlapping reserved intervals.
-func earliestFit(ivs []backupIv, lb, dur int64) int64 {
+// earliestFit returns the earliest start >= lb at which a slot of dur
+// cycles fits between the sorted, non-overlapping reserved intervals, and
+// the index at which the slot's interval keeps ivs in start order. ok is
+// false when the slot cannot finish before bound; the search then stops
+// early.
+//
+// Because intervals never overlap, their finishes are sorted too, and an
+// interval that ends at or before lb can neither block the slot nor move
+// the cursor: the scan starts at the first interval ending after lb.
+func earliestFit(ivs []backupIv, lb, dur, bound int64) (start int64, at int, ok bool) {
+	lo, hi := 0, len(ivs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ivs[mid].finish > lb {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
 	cursor := lb
-	for _, iv := range ivs {
+	for at = lo; at < len(ivs); at++ {
+		iv := ivs[at]
 		if iv.start >= cursor+dur {
 			break // the slot fits entirely before this interval
 		}
 		if iv.finish > cursor {
 			cursor = iv.finish
+			if cursor+dur >= bound {
+				return 0, 0, false
+			}
 		}
 	}
-	return cursor
-}
-
-// insertIv inserts iv into the sorted interval list, keeping start order.
-func insertIv(ivs []backupIv, iv backupIv) []backupIv {
-	i := sort.Search(len(ivs), func(j int) bool { return ivs[j].start > iv.start })
-	ivs = append(ivs, backupIv{})
-	copy(ivs[i+1:], ivs[i:])
-	ivs[i] = iv
-	return ivs
+	return cursor, at, cursor+dur < bound
 }

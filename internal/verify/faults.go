@@ -501,13 +501,17 @@ func PlatformEnergyFTMatches(s *sched.Schedule, pf *power.Platform, plan *sched.
 	}
 }
 
-// clonePlan copies the mutable arrays of a backup plan for mutation.
+// clonePlan copies the mutable arrays of a backup plan for mutation. The
+// copy is built field by field, so it carries no planner index
+// (BackupPlan.BackupsOn) that the mutation would leave stale.
 func clonePlan(pl *sched.BackupPlan) *sched.BackupPlan {
-	c := *pl
-	c.Proc = append([]int32(nil), pl.Proc...)
-	c.Start = append([]int64(nil), pl.Start...)
-	c.Finish = append([]int64(nil), pl.Finish...)
-	return &c
+	return &sched.BackupPlan{
+		Proc:             append([]int32(nil), pl.Proc...),
+		Start:            append([]int64(nil), pl.Start...),
+		Finish:           append([]int64(nil), pl.Finish...),
+		RecoveryMakespan: pl.RecoveryMakespan,
+		Policy:           pl.Policy,
+	}
 }
 
 // SelfTestFaults extends the mutation self-test to the fault-tolerance
