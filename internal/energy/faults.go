@@ -19,8 +19,31 @@ import (
 //
 // Both resets are a pure per-processor merge of two start-ordered lists —
 // Schedule.TasksOn and the planner's BackupPlan.BackupsOn — so they cost
-// O(n) plus the gap sorts, like the plain Reset; plan must therefore come
-// from the planner, which builds that index.
+// O(n) plus the gap sorts, like the plain Reset. plan must therefore come
+// from the planner, which builds that index; backupsOn checks the index
+// against the plan's arrays and panics on a missing or stale one rather
+// than charge reserved slots to the wrong processors.
+
+// backupsOn returns plan's backups on proc in start order, checking that
+// each one is really planned there and that their starts do not decrease.
+func backupsOn(plan *sched.BackupPlan, proc int) []int32 {
+	backs := plan.BackupsOn(proc)
+	for i, v := range backs {
+		if int(plan.Proc[v]) != proc || i > 0 && plan.Start[v] < plan.Start[backs[i-1]] {
+			panic("energy: BackupPlan index is stale; its Proc or Start arrays were edited after planning")
+		}
+	}
+	return backs
+}
+
+// checkBackupCount panics unless the per-processor backup lists walked by a
+// reset covered every task of plan, which fails when plan was built for a
+// schedule on a different number of processors.
+func checkBackupCount(plan *sched.BackupPlan, seen int) {
+	if seen != len(plan.Proc) {
+		panic("energy: BackupPlan index does not cover the schedule's processors")
+	}
+}
 
 // ResetFT re-extracts the profile from s with plan's backup slots reserved.
 // The profile must be evaluated with Evaluate (homogeneous machine).
@@ -33,9 +56,11 @@ func (p *GapProfile) ResetFT(s *sched.Schedule, plan *sched.BackupPlan) {
 	p.reserved = 0
 	p.inner = p.inner[:0]
 	p.last = p.last[:0]
+	seen := 0
 	for proc := 0; proc < s.NumProcs; proc++ {
 		tasks := s.TasksOn(proc)
-		backs := plan.BackupsOn(proc)
+		backs := backupsOn(plan, proc)
+		seen += len(backs)
 		if len(tasks) == 0 && len(backs) == 0 {
 			continue // truly unemployed processors are off and contribute nothing
 		}
@@ -60,6 +85,7 @@ func (p *GapProfile) ResetFT(s *sched.Schedule, plan *sched.BackupPlan) {
 		}
 		p.last = append(p.last, cursor)
 	}
+	checkBackupCount(plan, seen)
 	slices.Sort(p.inner)
 	slices.Sort(p.last)
 	p.innerSum = prefixSums(p.innerSum, p.inner)
@@ -87,9 +113,11 @@ func (p *GapProfile) ResetPlatformFT(s *sched.Schedule, pf *power.Platform, plan
 		cg.last = cg.last[:0]
 	}
 	g := s.Graph
+	seen := 0
 	for proc := 0; proc < s.NumProcs; proc++ {
 		tasks := s.TasksOn(proc)
-		backs := plan.BackupsOn(proc)
+		backs := backupsOn(plan, proc)
+		seen += len(backs)
 		if len(tasks) == 0 && len(backs) == 0 {
 			continue
 		}
@@ -117,6 +145,7 @@ func (p *GapProfile) ResetPlatformFT(s *sched.Schedule, pf *power.Platform, plan
 		}
 		cg.last = append(cg.last, cursor)
 	}
+	checkBackupCount(plan, seen)
 	for c := range p.classes {
 		cg := &p.classes[c]
 		slices.Sort(cg.inner)

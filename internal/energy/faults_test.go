@@ -1,7 +1,9 @@
 package energy_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lamps/internal/energy"
@@ -237,4 +239,113 @@ func TestResetFTSteadyStateZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { p.ResetPlatformFT(&ps, pf, pplan) }); allocs != 0 {
 		t.Errorf("warm GapProfile.ResetPlatformFT allocates %v allocs/op", allocs)
 	}
+}
+
+// TestResetFTRejectsPlansWithoutValidIndex pins that the FT resets refuse a
+// backup plan whose per-processor index is missing or disagrees with its
+// arrays, instead of charging reserved slots to the wrong processors: a
+// plan assembled field by field, one whose Proc or Start was edited after
+// planning, and one planned for a schedule with more processors.
+func TestResetFTRejectsPlansWithoutValidIndex(t *testing.T) {
+	g, err := taskgen.Member(60, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ListEDF(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sched.PlanBackups(s, nil, sched.BackupAnywhere)
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := &sched.BackupPlan{
+		Proc:             append([]int32(nil), plan.Proc...),
+		Start:            append([]int64(nil), plan.Start...),
+		Finish:           append([]int64(nil), plan.Finish...),
+		RecoveryMakespan: plan.RecoveryMakespan,
+		Policy:           plan.Policy,
+	}
+
+	// Edit copies of the planner's plan in place; a shallow struct copy
+	// keeps the index, so each copy gets its own arrays first.
+	edited := func(edit func(pl *sched.BackupPlan)) *sched.BackupPlan {
+		c := *plan
+		c.Proc = append([]int32(nil), plan.Proc...)
+		c.Start = append([]int64(nil), plan.Start...)
+		edit(&c)
+		return &c
+	}
+	movedProc := edited(func(pl *sched.BackupPlan) {
+		v := 0
+		for p := range int32(s.NumProcs) {
+			if p != s.Proc[v] && p != pl.Proc[v] {
+				pl.Proc[v] = p
+				return
+			}
+		}
+	})
+	reordered := edited(func(pl *sched.BackupPlan) {
+		for p := range s.NumProcs {
+			if backs := plan.BackupsOn(p); len(backs) >= 2 {
+				pl.Start[backs[0]] = plan.Start[backs[len(backs)-1]] + 1
+				return
+			}
+		}
+		t.Fatal("no processor holds two backups")
+	})
+	s5, err := sched.ListEDF(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider, err := sched.PlanBackups(s5, nil, sched.BackupAnywhere)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := wider.EmployedWith(s5); n < 5 {
+		t.Fatalf("5-processor plan employs only %d processors", n)
+	}
+
+	for _, tc := range []struct {
+		name string
+		plan *sched.BackupPlan
+	}{
+		{"literal", literal},
+		{"moved-proc", movedProc},
+		{"reordered-start", reordered},
+		{"wider-schedule", wider},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "BackupPlan") {
+					t.Errorf("ResetFT on a %s plan: recovered %v, want an index panic", tc.name, r)
+				}
+			}()
+			var p energy.GapProfile
+			p.ResetFT(s, tc.plan)
+		})
+	}
+
+	pf := ftPlatform(t)
+	var k sched.Scheduler
+	var ps sched.Schedule
+	if err := k.ScheduleIntoPlatform(&ps, g, pf, pf.NumProcs(), sched.LPTPriorities(g), nil); err != nil {
+		t.Fatal(err)
+	}
+	pplan, err := sched.PlanBackups(&ps, pf, sched.PrimaryHPBackupLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "BackupPlan") {
+			t.Errorf("ResetPlatformFT on a literal plan: recovered %v, want an index panic", r)
+		}
+	}()
+	var p energy.GapProfile
+	p.ResetPlatformFT(&ps, pf, &sched.BackupPlan{
+		Proc:   pplan.Proc,
+		Start:  pplan.Start,
+		Finish: pplan.Finish,
+		Policy: pplan.Policy,
+	})
 }

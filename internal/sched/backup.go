@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -71,10 +72,15 @@ type BackupPlan struct {
 
 // BackupsOn returns the tasks whose backup slot is on processor p, in
 // backup start order — the backup counterpart of Schedule.TasksOn. The
-// index is built by the planner and describes the plan as planned: a plan
-// assembled field by field, or one whose Proc or Start arrays were edited
-// afterwards, has no valid index.
+// index is built by the planner and describes the plan as planned. It
+// panics on a plan assembled field by field, which has no index; a plan
+// whose Proc or Start arrays were edited after planning keeps a stale one,
+// which callers detect by checking each returned task against Proc and
+// Start.
 func (pl *BackupPlan) BackupsOn(p int) []int32 {
+	if len(pl.byProcOff) == 0 {
+		panic("sched: BackupPlan has no planner index; BackupsOn needs a plan built by PlanBackups")
+	}
 	return pl.byProc[pl.byProcOff[p]:pl.byProcOff[p+1]]
 }
 
@@ -121,8 +127,6 @@ type backupIv struct {
 type BackupPlanner struct {
 	ivs   [][]backupIv // per-processor reserved intervals, sorted by start
 	order []int32      // tasks in (primary finish, index) order
-	head  []int32      // per-processor merge cursor into TasksOn
-	dur   []int64      // core class -> backup duration of the current task
 }
 
 // PlanBackups plans one backup slot per task of s under policy. A nil
@@ -136,10 +140,13 @@ func PlanBackups(s *Schedule, pf *power.Platform, policy FaultPolicy) (*BackupPl
 	return bp.Plan(s, pf, policy)
 }
 
-// Plan is PlanBackups on reusable scratch. It runs in O(n·P·log n) for n
-// tasks on P processors: each fit binary-searches to the task's lower bound
-// instead of rescanning the timeline from its start, and stops as soon as
-// it cannot beat the best processor found so far.
+// Plan is PlanBackups on reusable scratch. Each fit binary-searches to the
+// first reserved interval ending after the task's lower bound instead of
+// rescanning the timeline from its start, and stops as soon as it cannot
+// beat the best processor found so far. Those two cuts bound the scanning,
+// not the worst case: the scan past the search point is limited only by
+// the incumbent, and inserting the chosen slot still shifts the tail of
+// its processor's interval slice.
 func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolicy) (*BackupPlan, error) {
 	switch policy {
 	case "", BackupAnywhere, PrimaryHPBackupLP:
@@ -168,26 +175,17 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 	}
 
 	// (Finish, index) order is topological: weights are positive, so a
-	// successor always finishes strictly after every predecessor. Each
-	// processor's TasksOn list is already in finish order (its slots never
-	// overlap), so the order is a P-way merge of those lists.
+	// successor always finishes strictly after every predecessor.
 	bp.order = grow(bp.order, n)
-	bp.head = grow(bp.head, np)
-	clear(bp.head)
-	for k := range bp.order {
-		next, nextProc := int32(-1), 0
-		for p := range np {
-			tasks := s.TasksOn(p)
-			if h := bp.head[p]; int(h) < len(tasks) {
-				v := tasks[h]
-				if next < 0 || s.Finish[v] < s.Finish[next] || s.Finish[v] == s.Finish[next] && v < next {
-					next, nextProc = v, p
-				}
-			}
-		}
-		bp.order[k] = next
-		bp.head[nextProc]++
+	for v := range bp.order {
+		bp.order[v] = int32(v)
 	}
+	slices.SortFunc(bp.order, func(a, b int32) int {
+		if c := cmp.Compare(s.Finish[a], s.Finish[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 
 	// The primary-HP/backup-LP policy restricts the candidate set to
 	// non-reference-class processors when one other than the primary's
@@ -202,7 +200,6 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 				nonRef++
 			}
 		}
-		bp.dur = grow(bp.dur, pf.NumClasses())
 	}
 	hpLP := policy == PrimaryHPBackupLP && pf != nil
 
@@ -233,9 +230,6 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 		prim := int(s.Proc[v])
 		restrict := false
 		if pf != nil {
-			for c := range bp.dur {
-				bp.dur[c] = pf.ScaledWeight(c, w)
-			}
 			others := nonRef
 			if pf.ClassOf(prim) != ref {
 				others--
@@ -256,7 +250,7 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 				if restrict && c == ref {
 					continue
 				}
-				dur = bp.dur[c]
+				dur = pf.ScaledWeight(c, w)
 			}
 			if lb+dur >= bestFinish {
 				continue
