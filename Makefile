@@ -26,7 +26,7 @@ race:
 # Run the pinned fuzz seed corpora as regular tests (no fuzzing engine, no
 # new inputs — a deterministic smoke check of the parsers).
 fuzz-smoke:
-	$(GO) test -run='^Fuzz' ./internal/stg ./internal/sched ./internal/power
+	$(GO) test -run='^Fuzz' ./internal/stg ./internal/sched ./internal/power ./internal/server
 
 # Build-and-run smoke: every example and every command executes end to end
 # with quick arguments, so a main() that compiles but crashes on startup
@@ -97,7 +97,8 @@ bench:
 # request within its own budget (the plain tail plus the backup plans it
 # returns); and a warm /v1/schedule cache hit must stay within its
 # handler-layer bound (decode + graph build + digest only — never a
-# re-render). These budgets are the strict (non--race) ones; the same tests
+# re-render), the same small constant for a 4-task and a 1000-task graph,
+# so nothing on the front door allocates per task or per edge. These budgets are the strict (non--race) ones; the same tests
 # run widened under `make race`. CI fails the build if any test reports
 # allocations over its bound.
 alloc-gate:

@@ -20,11 +20,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -34,8 +39,10 @@ import (
 	"lamps/internal/core"
 	"lamps/internal/dag"
 	"lamps/internal/energy"
+	"lamps/internal/graphhash"
 	"lamps/internal/power"
 	"lamps/internal/sched"
+	"lamps/internal/server"
 	"lamps/internal/taskgen"
 	"lamps/internal/workpool"
 )
@@ -342,8 +349,131 @@ func kernelBenchmarks(gs []*dag.Graph) ([]kernelReport, error) {
 		}
 	})
 	out = append(out, row)
-	return out, benchErr
+
+	front, err := frontDoorBenchmarks(g, m, measure)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, front...), benchErr
 }
+
+// frontDoorBenchmarks measures what a /v1/schedule request costs before
+// the engine runs, on the same 1000-task graph: building the dag from
+// decoded tasks and edges, digesting the problem, and a whole warm cache
+// hit through the in-process handler (read, decode, build, digest, cache
+// lookup, write; request logging off). None of them should allocate per
+// task or per edge. The digest and hit rows use pooled buffers, so their
+// allocs/op are counted by steadyAllocs like the RunBatch row.
+func frontDoorBenchmarks(g *dag.Graph, m *power.Model, measure func(string, func(*testing.B)) kernelReport) ([]kernelReport, error) {
+	var benchErr error
+	build := func() *dag.Graph {
+		b := dag.NewBuilder(g.Name())
+		b.Grow(g.NumTasks(), g.NumEdges())
+		for v := 0; v < g.NumTasks(); v++ {
+			b.AddTask(g.Weight(v))
+		}
+		for v := 0; v < g.NumTasks(); v++ {
+			for _, s := range g.Succs(v) {
+				b.AddEdge(v, int(s))
+			}
+		}
+		out, err := b.Build()
+		if err != nil {
+			benchErr = err
+		}
+		return out
+	}
+	prob := graphhash.Problem{
+		Graph:    g,
+		Model:    m,
+		Deadline: core.DeadlineFactor(g, m, 2).Deadline,
+		Approach: core.ApproachLAMPS,
+	}
+	sum := func() { graphhash.Sum(prob) }
+
+	body, err := scheduleBody(g, core.ApproachLAMPS, 2)
+	if err != nil {
+		return nil, err
+	}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))
+	h := server.New(server.Options{Model: m, Logger: quiet}).Handler()
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", nil)
+	reqBody := io.NopCloser(rd)
+	w := &discardWriter{h: make(http.Header)}
+	serve := func() (status int, cache string) {
+		rd.Reset(body)
+		req.Body = reqBody
+		w.status = 0
+		h.ServeHTTP(w, req)
+		return w.status, w.h.Get(server.CacheHeader)
+	}
+	if status, _ := serve(); status != http.StatusOK {
+		return nil, fmt.Errorf("warming /v1/schedule request: status %d", status)
+	}
+	hit := func() {
+		if status, cache := serve(); status != http.StatusOK || cache != "hit" {
+			benchErr = fmt.Errorf("warm /v1/schedule request: status %d, cache %q, want 200 hit", status, cache)
+		}
+	}
+
+	rows := []kernelReport{
+		measure("dag_build_layered1000", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+		}),
+		measure("graphhash_sum_layered1000", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sum()
+			}
+		}),
+		measure("handler_schedule_hit_layered1000", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				hit()
+			}
+		}),
+	}
+	rows[1].AllocsPerOp, rows[1].BytesPerOp = steadyAllocs(200, sum)
+	rows[2].AllocsPerOp, rows[2].BytesPerOp = steadyAllocs(200, hit)
+	return rows, benchErr
+}
+
+// scheduleBody renders g as a /v1/schedule request body in the spelling a
+// client marshaling a struct produces.
+func scheduleBody(g *dag.Graph, approach string, factor float64) ([]byte, error) {
+	type task struct {
+		WeightCycles int64 `json:"weight_cycles"`
+	}
+	type graph struct {
+		Name  string   `json:"name"`
+		Tasks []task   `json:"tasks"`
+		Edges [][2]int `json:"edges"`
+	}
+	spec := graph{Name: g.Name(), Tasks: make([]task, g.NumTasks())}
+	for v := range spec.Tasks {
+		spec.Tasks[v].WeightCycles = g.Weight(v)
+		for _, s := range g.Succs(v) {
+			spec.Edges = append(spec.Edges, [2]int{v, int(s)})
+		}
+	}
+	return json.Marshal(struct {
+		Approach       string  `json:"approach"`
+		Graph          graph   `json:"graph"`
+		DeadlineFactor float64 `json:"deadline_factor"`
+	}{approach, spec, factor})
+}
+
+// discardWriter is a ResponseWriter that keeps only the status and one
+// reused header map, so a measured request pays for the handler alone.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.status = code }
 
 // steadyAllocs returns fn's allocations and allocated bytes per call over
 // a fixed number of rounds with the garbage collector paused. Every GC

@@ -1,8 +1,9 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder assembles a Graph incrementally. The zero value is not usable;
@@ -11,13 +12,22 @@ type Builder struct {
 	name    string
 	weights []int64
 	labels  []string
-	edges   [][2]int32
+	edges   [][2]int // endpoints kept at full width until Build range-checks them
 	anyLbl  bool
 }
 
 // NewBuilder returns an empty builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
 	return &Builder{name: name}
+}
+
+// Grow makes room for the given numbers of further tasks and edges, so a
+// caller that knows the graph's size up front (a decoded request) fills the
+// builder without reallocating.
+func (b *Builder) Grow(tasks, edges int) {
+	b.weights = slices.Grow(b.weights, tasks)
+	b.labels = slices.Grow(b.labels, tasks)
+	b.edges = slices.Grow(b.edges, edges)
 }
 
 // AddTask appends a task with the given weight (cycles) and returns its
@@ -40,9 +50,11 @@ func (b *Builder) AddLabeledTask(weight int64, label string) int {
 }
 
 // AddEdge records a dependence: task to cannot start before task from has
-// finished. Validity is checked in Build.
+// finished. Validity is checked in Build, against the endpoints as given:
+// an index that does not fit the graph's int32 adjacency is out of range,
+// never silently narrowed onto another task.
 func (b *Builder) AddEdge(from, to int) {
-	b.edges = append(b.edges, [2]int32{int32(from), int32(to)})
+	b.edges = append(b.edges, [2]int{from, to})
 }
 
 // NumTasks returns the number of tasks added so far.
@@ -76,7 +88,7 @@ func (b *Builder) Build() (*Graph, error) {
 	g.succOff = make([]int32, n+1)
 	g.predOff = make([]int32, n+1)
 	for _, e := range b.edges {
-		u, v := int(e[0]), int(e[1])
+		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
 			return nil, fmt.Errorf("%w: edge %d->%d with %d tasks", ErrBadTask, u, v, n)
 		}
@@ -93,20 +105,22 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.succAdj = make([]int32, g.nEdges)
 	g.predAdj = make([]int32, g.nEdges)
-	sCur := append([]int32(nil), g.succOff[:n]...)
-	pCur := append([]int32(nil), g.predOff[:n]...)
+	cur := make([]int32, 2*n)
+	sCur, pCur := cur[:n], cur[n:]
+	copy(sCur, g.succOff[:n])
+	copy(pCur, g.predOff[:n])
 	for _, e := range b.edges {
 		u, v := e[0], e[1]
-		g.succAdj[sCur[u]] = v
+		g.succAdj[sCur[u]] = int32(v)
 		sCur[u]++
-		g.predAdj[pCur[v]] = u
+		g.predAdj[pCur[v]] = int32(u)
 		pCur[v]++
 	}
 	// Detect duplicates after sorting each CSR row; sorted rows also make
 	// traversal deterministic for downstream consumers.
 	for v := 0; v < n; v++ {
-		sortInt32(g.succAdj[g.succOff[v]:g.succOff[v+1]])
-		sortInt32(g.predAdj[g.predOff[v]:g.predOff[v+1]])
+		slices.Sort(g.succAdj[g.succOff[v]:g.succOff[v+1]])
+		slices.Sort(g.predAdj[g.predOff[v]:g.predOff[v+1]])
 		if d := firstDup(g.Succs(v)); d >= 0 {
 			return nil, fmt.Errorf("%w: %d->%d", ErrDupEdge, v, d)
 		}
@@ -123,7 +137,19 @@ func (b *Builder) Build() (*Graph, error) {
 
 // computeSourcesSinks precomputes the Sources/Sinks slices, so the accessors
 // can return graph-owned views instead of allocating per call.
+// Both are sized exactly up front: one allocation each.
 func (g *Graph) computeSourcesSinks() {
+	nSrc, nSnk := 0, 0
+	for v := 0; v < g.NumTasks(); v++ {
+		if g.InDegree(v) == 0 {
+			nSrc++
+		}
+		if g.OutDegree(v) == 0 {
+			nSnk++
+		}
+	}
+	g.sources = make([]int32, 0, nSrc)
+	g.sinks = make([]int32, 0, nSnk)
 	for v := 0; v < g.NumTasks(); v++ {
 		if g.InDegree(v) == 0 {
 			g.sources = append(g.sources, int32(v))
@@ -132,10 +158,6 @@ func (g *Graph) computeSourcesSinks() {
 			g.sinks = append(g.sinks, int32(v))
 		}
 	}
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // firstDup returns the first duplicated value in a sorted slice, or -1.
@@ -149,27 +171,23 @@ func firstDup(s []int32) int32 {
 }
 
 // computeTopo fills g.topo using Kahn's algorithm; ErrCycle if not a DAG.
+// The FIFO queue is topo itself: tasks are emitted in the order they are
+// enqueued, so the unread tail of topo is the queue.
 func (g *Graph) computeTopo() error {
 	n := g.NumTasks()
 	indeg := make([]int32, n)
+	topo := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
 		indeg[v] = int32(g.InDegree(v))
-	}
-	queue := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, int32(v))
+			topo = append(topo, int32(v))
 		}
 	}
-	topo := make([]int32, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		topo = append(topo, v)
-		for _, s := range g.Succs(int(v)) {
+	for head := 0; head < len(topo); head++ {
+		for _, s := range g.Succs(int(topo[head])) {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				topo = append(topo, s)
 			}
 		}
 	}
@@ -228,11 +246,11 @@ func (g *Graph) computeMaxWidth() {
 			event{g.tlevel[v], +1},
 			event{g.tlevel[v] + g.weights[v], -1})
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		return events[i].delta < events[j].delta // process ends before starts
+		return cmp.Compare(a.delta, b.delta) // process ends before starts
 	})
 	cur, best := 0, 0
 	for _, e := range events {

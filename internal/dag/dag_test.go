@@ -95,6 +95,16 @@ func TestBuilderErrors(t *testing.T) {
 			v := b.AddTask(1)
 			b.AddEdge(-1, v)
 		}, ErrBadTask},
+		// Endpoints that narrow to valid int32 indices must still be rejected:
+		// 1<<32 would otherwise alias task 0, and 1<<32+1 task 1.
+		{"source wraps past int32", func(b *Builder) {
+			_, v := b.AddTask(1), b.AddTask(1)
+			b.AddEdge(int(wide(0)), v)
+		}, ErrBadTask},
+		{"target wraps past int32", func(b *Builder) {
+			u, _ := b.AddTask(1), b.AddTask(1)
+			b.AddEdge(u, int(wide(1)))
+		}, ErrBadTask},
 		{"duplicate edge", func(b *Builder) {
 			u, v := b.AddTask(1), b.AddTask(1)
 			b.AddEdge(u, v)
@@ -372,3 +382,6 @@ func BenchmarkBuild1000(b *testing.B) {
 		}
 	}
 }
+
+// wide returns 1<<32 + v: an index that truncates to v in an int32.
+func wide(v int64) int64 { return 1<<32 + v }

@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"sync"
 
 	"lamps/internal/dag"
 	"lamps/internal/power"
@@ -58,10 +59,11 @@ type Problem struct {
 // Sum returns the hex-encoded SHA-256 digest of the problem's canonical
 // encoding.
 func Sum(p Problem) string {
-	h := sha256.New()
-	writePrefix(h, p.Graph, p.Model, p.Platform, p.FaultsK, p.FaultsPolicy)
-	writeCell(h, p.Deadline, p.MaxProcs, p.Approach)
-	return hex.EncodeToString(h.Sum(nil))
+	e := getEncoder()
+	defer encoderPool.Put(e)
+	writePrefix(e, p.Graph, p.Model, p.Platform, p.FaultsK, p.FaultsPolicy)
+	writeCell(e, p.Deadline, p.MaxProcs, p.Approach)
+	return e.sum()
 }
 
 // writePrefix encodes the cell-independent part of a problem: the version
@@ -74,68 +76,72 @@ func Sum(p Problem) string {
 // non-platform one. A fault-tolerance request (faultsK > 0) appends its own
 // tagged block under the same rules: K=0 streams are byte-identical to
 // pre-fault ones.
-func writePrefix(h hash.Hash, g *dag.Graph, m *power.Model, pf *power.Platform, faultsK int, faultsPolicy string) {
-	writeString(h, Version)
+func writePrefix(e *encoder, g *dag.Graph, m *power.Model, pf *power.Platform, faultsK int, faultsPolicy string) {
+	e.string(Version)
 
-	writeInt(h, int64(g.NumTasks()))
+	e.int(int64(g.NumTasks()))
 	for v := 0; v < g.NumTasks(); v++ {
-		writeInt(h, g.Weight(v))
+		e.int(g.Weight(v))
 	}
 	// Adjacency: successor lists are sorted by the dag builder, so iterating
 	// tasks in index order yields a canonical edge enumeration.
-	writeInt(h, int64(g.NumEdges()))
+	e.int(int64(g.NumEdges()))
 	for v := 0; v < g.NumTasks(); v++ {
 		succs := g.Succs(v)
-		writeInt(h, int64(len(succs)))
+		e.int(int64(len(succs)))
 		for _, s := range succs {
-			writeInt(h, int64(s))
+			e.int(int64(s))
 		}
 	}
 
 	if m == nil {
-		m = power.Default70nm()
+		m = defaultModel()
 	}
-	writeModel(h, m)
+	writeModel(e, m)
 
 	if pf != nil {
-		writeString(h, "platform")
-		writeInt(h, int64(pf.NumClasses()))
+		e.string("platform")
+		e.int(int64(pf.NumClasses()))
 		for c := 0; c < pf.NumClasses(); c++ {
-			writeString(h, pf.Class(c).Name)
-			writeModel(h, pf.ClassModel(c))
+			e.string(pf.Class(c).Name)
+			writeModel(e, pf.ClassModel(c))
 		}
-		writeInt(h, int64(pf.NumProcs()))
+		e.int(int64(pf.NumProcs()))
 		for p := 0; p < pf.NumProcs(); p++ {
-			writeInt(h, int64(pf.ClassOf(p)))
+			e.int(int64(pf.ClassOf(p)))
 		}
 	}
 
 	if faultsK > 0 {
-		writeString(h, "faults")
-		writeInt(h, int64(faultsK))
-		writeString(h, faultsPolicy)
+		e.string("faults")
+		e.int(int64(faultsK))
+		e.string(faultsPolicy)
 	}
 }
 
+// defaultModel is the model a nil Problem.Model selects, built once: the
+// encoder only reads its constants.
+var defaultModel = sync.OnceValue(power.Default70nm)
+
 // writeModel encodes a power model's defining constants (the built ladder is
 // derived from them).
-func writeModel(h hash.Hash, m *power.Model) {
-	for _, f := range []float64{
+func writeModel(e *encoder, m *power.Model) {
+	for _, f := range [...]float64{
 		m.K1, m.K2, m.K3, m.K4, m.K5, m.K6, m.K7,
 		m.Vdd0, m.Vbs, m.Alpha, m.Vth1, m.Ij, m.Ceff, m.Ld, m.Lg,
 		m.Activity, m.POn, m.PSleep, m.EOverhead,
 		m.VddMax, m.VddMin, m.VddStep,
 	} {
-		writeFloat(h, f)
+		e.float(f)
 	}
 }
 
 // writeCell encodes the per-cell suffix of a problem: deadline, processor
 // cap and approach.
-func writeCell(h hash.Hash, deadline float64, maxProcs int, approach string) {
-	writeFloat(h, deadline)
-	writeInt(h, int64(maxProcs))
-	writeString(h, approach)
+func writeCell(e *encoder, deadline float64, maxProcs int, approach string) {
+	e.float(deadline)
+	e.int(int64(maxProcs))
+	e.string(approach)
 }
 
 // Hasher derives the digests of many problems sharing one graph and power
@@ -176,9 +182,11 @@ func NewProblemHasher(p Problem) *Hasher {
 
 func newHasher(g *dag.Graph, m *power.Model, pf *power.Platform, faultsK int, faultsPolicy string) *Hasher {
 	hr := &Hasher{graph: g, model: m, platform: pf, faultsK: faultsK, faultsPolicy: faultsPolicy}
-	h := sha256.New()
-	writePrefix(h, g, m, pf, faultsK, faultsPolicy)
-	if mb, ok := h.(encoding.BinaryMarshaler); ok {
+	e := getEncoder()
+	defer encoderPool.Put(e)
+	writePrefix(e, g, m, pf, faultsK, faultsPolicy)
+	e.flush()
+	if mb, ok := e.h.(encoding.BinaryMarshaler); ok {
 		if st, err := mb.MarshalBinary(); err == nil {
 			hr.state = st
 		}
@@ -189,33 +197,82 @@ func newHasher(g *dag.Graph, m *power.Model, pf *power.Platform, faultsK int, fa
 // Cell returns the digest of the problem {graph, model, deadline, maxProcs,
 // approach}, identical to Sum of the equivalent Problem.
 func (hr *Hasher) Cell(deadline float64, maxProcs int, approach string) string {
-	h := sha256.New()
+	e := getEncoder()
+	defer encoderPool.Put(e)
 	restored := false
 	if hr.state != nil {
-		if ub, ok := h.(encoding.BinaryUnmarshaler); ok {
+		if ub, ok := e.h.(encoding.BinaryUnmarshaler); ok {
 			restored = ub.UnmarshalBinary(hr.state) == nil
 		}
 	}
 	if !restored {
-		writePrefix(h, hr.graph, hr.model, hr.platform, hr.faultsK, hr.faultsPolicy)
+		e.h.Reset()
+		writePrefix(e, hr.graph, hr.model, hr.platform, hr.faultsK, hr.faultsPolicy)
 	}
-	writeCell(h, deadline, maxProcs, approach)
-	return hex.EncodeToString(h.Sum(nil))
+	writeCell(e, deadline, maxProcs, approach)
+	return e.sum()
 }
 
-func writeInt(h hash.Hash, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
+// encoder produces the canonical byte stream. Values are appended
+// little-endian into a fixed-size buffer that is handed to the hash a chunk
+// at a time, so encoding a graph costs no allocation per value: writing 8
+// bytes at a time through the hash.Hash interface would heap-allocate every
+// one of them. The digest is SHA-256 of the concatenated stream, however it
+// is chunked.
+type encoder struct {
+	h   hash.Hash
+	buf []byte
+	out [sha256.Size]byte
 }
 
-func writeFloat(h hash.Hash, f float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	h.Write(buf[:])
+// encoderChunk is the buffered stream length at which the encoder flushes
+// into the hash.
+const encoderChunk = 4096
+
+var encoderPool = sync.Pool{New: func() any {
+	return &encoder{h: sha256.New(), buf: make([]byte, 0, encoderChunk)}
+}}
+
+// getEncoder returns a pooled encoder with an empty buffer and a fresh hash
+// state. Return it with encoderPool.Put.
+func getEncoder() *encoder {
+	e := encoderPool.Get().(*encoder)
+	e.h.Reset()
+	e.buf = e.buf[:0]
+	return e
 }
 
-func writeString(h hash.Hash, s string) {
-	writeInt(h, int64(len(s)))
-	h.Write([]byte(s))
+// flush hands the buffered stream to the hash.
+func (e *encoder) flush() {
+	e.h.Write(e.buf)
+	e.buf = e.buf[:0]
+}
+
+// sum flushes the stream and returns the hex digest.
+func (e *encoder) sum() string {
+	e.flush()
+	var dst [2 * sha256.Size]byte
+	hex.Encode(dst[:], e.h.Sum(e.out[:0]))
+	return string(dst[:])
+}
+
+func (e *encoder) int(v int64) {
+	if len(e.buf)+8 > encoderChunk {
+		e.flush()
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
+}
+
+func (e *encoder) float(f float64) {
+	e.int(int64(math.Float64bits(f)))
+}
+
+func (e *encoder) string(s string) {
+	e.int(int64(len(s)))
+	if len(e.buf)+len(s) > encoderChunk {
+		e.flush()
+		e.h.Write([]byte(s))
+		return
+	}
+	e.buf = append(e.buf, s...)
 }

@@ -212,20 +212,23 @@ func TestBatchMixedValidInvalid(t *testing.T) {
 		},
 		tight, // 4: 422 infeasible
 		scheduleReq(core.ApproachSS, chainGraph(5), 4), // 5: ok
+		// 6: 400 an edge with three endpoints fails its own line only.
+		`{"approach":"lamps","deadline_factor":2,"graph":{"tasks":[{"weight_cycles":1},{"weight_cycles":1}],"edges":[[0,1,7]]}}`,
+		scheduleReq(core.ApproachLAMPS, diamondGraph(), 3), // 7: ok
 	}
 	status, lines, raw := postBatch(t, ts, ndjsonBody(t, reqs...))
 	if status != 200 {
 		t.Fatalf("batch status %d: %s", status, raw)
 	}
 	byIndex, last := splitBatch(t, lines, len(reqs))
-	wantStatus := map[int]int{0: 200, 1: 400, 2: 400, 3: 400, 4: 422, 5: 200}
+	wantStatus := map[int]int{0: 200, 1: 400, 2: 400, 3: 400, 4: 422, 5: 200, 6: 400, 7: 200}
 	for i, want := range wantStatus {
 		if byIndex[i].Status != want {
 			t.Errorf("line %d: status %d (%s), want %d", i, byIndex[i].Status, byIndex[i].Error, want)
 		}
 	}
-	if last.Summary.OK != 2 || last.Summary.Errors != 4 || last.Summary.Invalid != 3 {
-		t.Errorf("summary %+v, want ok=2 errors=4 invalid=3", last.Summary)
+	if last.Summary.OK != 3 || last.Summary.Errors != 5 || last.Summary.Invalid != 4 {
+		t.Errorf("summary %+v, want ok=3 errors=5 invalid=4", last.Summary)
 	}
 	if last.Summary.Completed != len(reqs) {
 		t.Errorf("completed = %d, want %d", last.Summary.Completed, len(reqs))

@@ -3,10 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
+	"reflect"
 	"strings"
 
 	"lamps/internal/core"
@@ -97,7 +95,37 @@ func (req *scheduleRequest) faultConfig() (*core.FaultConfig, error) {
 type graphSpec struct {
 	Name  string     `json:"name,omitempty"`
 	Tasks []taskSpec `json:"tasks"`
-	Edges [][2]int   `json:"edges,omitempty"`
+	Edges []edgeSpec `json:"edges,omitempty"`
+}
+
+// edgeSpec is one dependence edge, [from, to]. encoding/json would
+// silently truncate a longer array into a bare [2]int and zero-fill a
+// shorter one; edgeSpec rejects both with an UnmarshalTypeError, which
+// keeps a bad edge a per-line error on /v1/batch.
+type edgeSpec [2]int
+
+func (e *edgeSpec) UnmarshalJSON(data []byte) error {
+	if s := (scanner{b: data}); s.edge(e) {
+		s.space()
+		if s.i == len(data) {
+			return nil
+		}
+	}
+	var ends []int
+	if err := json.Unmarshal(data, &ends); err != nil {
+		return err
+	}
+	if ends == nil {
+		return nil // null is a no-op, as encoding/json treats it for any non-pointer
+	}
+	if len(ends) != 2 {
+		return &json.UnmarshalTypeError{
+			Value: fmt.Sprintf("array of %d integers", len(ends)),
+			Type:  reflect.TypeFor[edgeSpec](),
+		}
+	}
+	*e = edgeSpec{ends[0], ends[1]}
+	return nil
 }
 
 type taskSpec struct {
@@ -123,29 +151,6 @@ func canonicalApproach(name string) (string, error) {
 		return a, nil
 	}
 	return "", badRequest("unknown approach %q (one of: ss, lamps, ss+ps, lamps+ps, limit-sf, limit-mf)", name)
-}
-
-// decodeRequest parses and validates the request body up to (but excluding)
-// graph construction. Size overruns from http.MaxBytesReader surface here
-// as 413.
-func decodeRequest(body io.Reader) (*scheduleRequest, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req scheduleRequest
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, tooLarge("request body exceeds the %d-byte limit", mbe.Limit)
-		}
-		return nil, badRequest("decoding request: %v", err)
-	}
-	if dec.More() {
-		return nil, badRequest("trailing data after request object")
-	}
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
 }
 
 // validate checks the structural invariants shared by every surface that
@@ -201,6 +206,7 @@ func (s *Server) buildGraph(spec *graphSpec, stgText string) (*dag.Graph, error)
 		name = "request"
 	}
 	b := dag.NewBuilder(name)
+	b.Grow(len(spec.Tasks), len(spec.Edges))
 	for _, tk := range spec.Tasks {
 		b.AddLabeledTask(tk.WeightCycles, tk.Label)
 	}

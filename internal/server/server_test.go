@@ -279,6 +279,13 @@ func TestMalformedRequestsAre400(t *testing.T) {
 			"approach": "lamps", "graph": diamondGraph(),
 			"deadline_factor": 2, "max_procs": -1,
 		},
+		// 1<<32 truncates to task 0 in an int32: it must not alias edge 0->1.
+		"edge endpoint past int32": `{"approach":"lamps","deadline_factor":2,` +
+			`"graph":{"tasks":[{"weight_cycles":1},{"weight_cycles":2}],"edges":[[4294967296,1]]}}`,
+		"edge with three endpoints": `{"approach":"lamps","deadline_factor":2,` +
+			`"graph":{"tasks":[{"weight_cycles":1},{"weight_cycles":2}],"edges":[[0,1,7]]}}`,
+		"edge with one endpoint": `{"approach":"lamps","deadline_factor":2,` +
+			`"graph":{"tasks":[{"weight_cycles":1},{"weight_cycles":2}],"edges":[[1]]}}`,
 	}
 	for name, req := range cases {
 		status, body, _ := post(t, ts, req)
@@ -317,6 +324,15 @@ func TestOversizedRequestsAre413(t *testing.T) {
 	status, body, _ = post(t, ts, big)
 	if status != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d, want 413; body %s", status, body)
+	}
+
+	// A valid request whose body runs past the limit only in trailing
+	// whitespace: the limit is on the body, not on the first JSON value.
+	padded := `{"approach":"lamps","deadline_factor":2,"graph":{"tasks":[{"weight_cycles":1000}]}}` +
+		strings.Repeat(" ", 200<<10)
+	status, body, _ = post(t, ts, padded)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized padded body: status %d, want 413; body %s", status, body)
 	}
 }
 

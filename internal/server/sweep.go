@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"sync"
@@ -77,16 +77,18 @@ type sweepSummary struct {
 	TimedOut  bool `json:"timed_out,omitempty"`
 }
 
-// decodeSweepRequest parses and validates a sweep body.
+// decodeSweepRequest parses and validates a sweep body. Like a schedule
+// body it is read whole first, so any body over the byte limit is a 413.
 func decodeSweepRequest(body io.Reader) (*sweepRequest, error) {
-	dec := json.NewDecoder(body)
+	buf, err := readBody(body)
+	if err != nil {
+		return nil, err
+	}
+	defer putBody(buf)
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
 	dec.DisallowUnknownFields()
 	var req sweepRequest
 	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, tooLarge("request body exceeds the %d-byte limit", mbe.Limit)
-		}
 		return nil, badRequest("decoding sweep request: %v", err)
 	}
 	if dec.More() {

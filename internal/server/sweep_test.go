@@ -239,6 +239,13 @@ func TestSweepValidation(t *testing.T) {
 		"no graph": {map[string]any{
 			"approaches": []string{"ss"}, "deadline_factors": []float64{2},
 		}, http.StatusBadRequest},
+		"edge with one endpoint": {map[string]any{
+			"approaches": []string{"ss"}, "deadline_factors": []float64{2},
+			"graph": map[string]any{
+				"tasks": []map[string]any{{"weight_cycles": 1}, {"weight_cycles": 2}},
+				"edges": [][]int{{1}},
+			},
+		}, http.StatusBadRequest},
 		"grid too large": {map[string]any{
 			"approaches": []string{"ss", "lamps", "ss+ps"}, "graph": diamondGraph(),
 			"deadline_factors": []float64{1.5, 2}, // 6 cells > limit 4
