@@ -111,13 +111,14 @@ alloc-gate:
 # behaviour-preservation contract: an N-identical-core Platform must produce
 # results byte-identical to the legacy single-model configuration at every
 # layer — kernel placements, energy breakdowns bit for bit, engine results
-# and stats. The invariant half holds the genuinely heterogeneous path to
+# and stats — and both kernels must match their frozen heap-based
+# references on the fuzz seed corpus. The invariant half holds the genuinely heterogeneous path to
 # the independent verifier (scaled-slot legality, first-principles energy,
 # LIMIT bounds, the HP-core feasibility separation) and to the platform
 # digest/serving contract. Under -race: the engine evaluates platform
 # candidates from many goroutines.
 hetero-gate:
-	$(GO) test -race -run 'TestScheduleIntoPlatformHomogeneousParity|TestEvaluatePointHomogeneousParity|TestMinFeasiblePointHomogeneousParity' -count=1 -v ./internal/sched ./internal/energy
+	$(GO) test -race -run 'TestScheduleIntoPlatformHomogeneousParity|FuzzScheduleIntoMatchesReference|TestEvaluatePointHomogeneousParity|TestMinFeasiblePointHomogeneousParity' -count=1 -v ./internal/sched ./internal/energy
 	$(GO) test -race -run 'TestHomogeneousPlatformParity|TestHeterogeneous|TestHetero' -count=1 -v ./internal/core
 	$(GO) test -race -run 'TestPlatformEnergyParity|TestSelfTestPlatformDetectsEveryClass' -count=1 -v ./internal/verify
 	$(GO) test -race -run 'TestPlatform' -count=1 -v ./internal/graphhash

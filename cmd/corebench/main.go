@@ -161,6 +161,14 @@ func kernelBenchmarks(gs []*dag.Graph) ([]kernelReport, error) {
 		return nil, err
 	}
 	prof := energy.NewGapProfile(s)
+	// The same reused kernel on 96 processors, where the idle-processor
+	// bitmap spans two words.
+	const wideProcs = 96
+	var kw sched.Scheduler
+	var wide sched.Schedule
+	if err := kw.ScheduleInto(&wide, g, wideProcs, prio, nil); err != nil {
+		return nil, err
+	}
 
 	out := []kernelReport{
 		measure("schedule_before_fresh_scratch", func(b *testing.B) {
@@ -174,6 +182,14 @@ func kernelBenchmarks(gs []*dag.Graph) ([]kernelReport, error) {
 		measure("schedule_after_reused_kernel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := k.ScheduleInto(&reused, g, nprocs, prio, nil); err != nil {
+					benchErr = err
+					b.FailNow()
+				}
+			}
+		}),
+		measure("schedule_reused_kernel_96procs", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := kw.ScheduleInto(&wide, g, wideProcs, prio, nil); err != nil {
 					benchErr = err
 					b.FailNow()
 				}

@@ -1,7 +1,6 @@
 package dag
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -233,31 +232,29 @@ func (g *Graph) computeLevels() {
 
 // computeMaxWidth estimates the maximum number of concurrently executable
 // tasks by sweeping the unbounded-machine execution windows
-// [TopLevel(v), TopLevel(v)+Weight(v)).
+// [TopLevel(v), TopLevel(v)+Weight(v)). The window starts and ends are
+// sorted separately and merged, ends before starts at equal times, so a
+// window that closes exactly when another opens never counts as overlap.
 func (g *Graph) computeMaxWidth() {
 	n := g.NumTasks()
-	type event struct {
-		t     int64
-		delta int
-	}
-	events := make([]event, 0, 2*n)
+	buf := make([]int64, 2*n)
+	starts, ends := buf[:n], buf[n:]
 	for v := 0; v < n; v++ {
-		events = append(events,
-			event{g.tlevel[v], +1},
-			event{g.tlevel[v] + g.weights[v], -1})
+		starts[v] = g.tlevel[v]
+		ends[v] = g.tlevel[v] + g.weights[v]
 	}
-	slices.SortFunc(events, func(a, b event) int {
-		if c := cmp.Compare(a.t, b.t); c != 0 {
-			return c
+	slices.Sort(starts)
+	slices.Sort(ends)
+	// Every window ends after it starts, so ends never run ahead of starts:
+	// the sweep is over once the last start is counted.
+	cur, best, e := 0, 0, 0
+	for _, t := range starts {
+		for ends[e] <= t {
+			e++
+			cur--
 		}
-		return cmp.Compare(a.delta, b.delta) // process ends before starts
-	})
-	cur, best := 0, 0
-	for _, e := range events {
-		cur += e.delta
-		if cur > best {
-			best = cur
-		}
+		cur++
+		best = max(best, cur)
 	}
 	g.maxWidth = best
 }

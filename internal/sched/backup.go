@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -125,8 +124,7 @@ type backupIv struct {
 // reuses its buffers. The zero value is ready to use; a planner is not
 // safe for concurrent use.
 type BackupPlanner struct {
-	ivs   [][]backupIv // per-processor reserved intervals, sorted by start
-	order []int32      // tasks in (primary finish, index) order
+	ivs [][]backupIv // per-processor reserved intervals, sorted by start
 }
 
 // PlanBackups plans one backup slot per task of s under policy. A nil
@@ -140,7 +138,10 @@ func PlanBackups(s *Schedule, pf *power.Platform, policy FaultPolicy) (*BackupPl
 	return bp.Plan(s, pf, policy)
 }
 
-// Plan is PlanBackups on reusable scratch. Each fit binary-searches to the
+// Plan is PlanBackups on reusable scratch. It walks the tasks in
+// s.FinishOrder(), so s must come from a scheduling kernel, CloneCompact or
+// ReadJSON; a Schedule assembled field by field has no finish order and is
+// rejected with an error. Each fit binary-searches to the
 // first reserved interval ending after the task's lower bound instead of
 // rescanning the timeline from its start, and stops as soon as it cannot
 // beat the best processor found so far. Those two cuts bound the scanning,
@@ -162,6 +163,13 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 	}
 	g := s.Graph
 	n := g.NumTasks()
+	// (Finish, index) order is topological: weights are positive, so a
+	// successor always finishes strictly after every predecessor.
+	order := s.FinishOrder()
+	if len(order) != n {
+		return nil, fmt.Errorf("sched: schedule has a finish order of %d tasks, want %d; "+
+			"plan a schedule built by a scheduling kernel, CloneCompact or ReadJSON", len(order), n)
+	}
 
 	bp.ivs = grow(bp.ivs, np)
 	for p := range np {
@@ -173,19 +181,6 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 		}
 		bp.ivs[p] = ivs
 	}
-
-	// (Finish, index) order is topological: weights are positive, so a
-	// successor always finishes strictly after every predecessor.
-	bp.order = grow(bp.order, n)
-	for v := range bp.order {
-		bp.order[v] = int32(v)
-	}
-	slices.SortFunc(bp.order, func(a, b int32) int {
-		if c := cmp.Compare(s.Finish[a], s.Finish[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
 
 	// The primary-HP/backup-LP policy restricts the candidate set to
 	// non-reference-class processors when one other than the primary's
@@ -215,7 +210,7 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 		byProc:    ints[n : 2*n : 2*n],
 		byProcOff: ints[2*n:],
 	}
-	for _, v := range bp.order {
+	for _, v := range order {
 		// The backup can start only after the fault is detectable (the
 		// primary slot's end) and after every predecessor's backup output is
 		// available — the invariant that makes recovery valid for any fault

@@ -93,7 +93,7 @@ func ReadJSON(r io.Reader) (*Schedule, error) {
 		s.Start[tk.ID] = tk.Start
 		s.Finish[tk.ID] = tk.Finish
 	}
-	s.rebuildByProc()
+	s.rebuildOrders()
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: restored schedule invalid: %w", err)
 	}

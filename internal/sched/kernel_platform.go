@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"lamps/internal/dag"
 	"lamps/internal/power"
@@ -28,9 +27,10 @@ var ErrBadPlatform = fmt.Errorf("sched: invalid platform or processor count")
 // byte-identical to ScheduleInto with the same arguments (pinned by
 // TestScheduleIntoPlatformHomogeneousParity).
 //
-// Like ScheduleInto, all scratch comes from the Scheduler and dst's slices
-// are reused, so steady-state calls perform no allocations (the per-class
-// idle heaps are retained across calls).
+// Like ScheduleInto, all scratch comes from the Scheduler — the priority
+// ranking memo included — and dst's slices are reused, so steady-state
+// calls perform no allocations, and dst.FinishOrder() lists the tasks in
+// (finish, task) order.
 func (k *Scheduler) ScheduleIntoPlatform(dst *Schedule, g *dag.Graph, pf *power.Platform, nprocs int, prio, release []int64) error {
 	if pf == nil || nprocs <= 0 || nprocs > pf.NumProcs() {
 		if nprocs <= 0 {
@@ -39,122 +39,59 @@ func (k *Scheduler) ScheduleIntoPlatform(dst *Schedule, g *dag.Graph, pf *power.
 		return fmt.Errorf("%w: %d processors requested of a %d-processor platform",
 			ErrBadPlatform, nprocs, numProcsOf(pf))
 	}
-	n := g.NumTasks()
-	if len(prio) != n {
-		return fmt.Errorf("%w: got %d priorities for %d tasks", ErrBadPriorities, len(prio), n)
+	if err := k.begin(dst, g, nprocs, prio, release); err != nil {
+		return err
 	}
-	if release != nil && len(release) != n {
-		return fmt.Errorf("%w: got %d releases for %d tasks", ErrBadReleases, len(release), n)
-	}
-	dst.Graph = g
-	dst.NumProcs = nprocs
-	dst.Makespan = 0
-	dst.Proc = grow(dst.Proc, n)
-	dst.Start = grow(dst.Start, n)
-	dst.Finish = grow(dst.Finish, n)
-
-	k.indeg = grow(k.indeg, n)
-	k.ready = grow(k.ready, 0)
-	k.pending = grow(k.pending, 0)
-	k.running = grow(k.running, 0)
-	k.order = grow(k.order, 0)
-	for v := 0; v < n; v++ {
-		k.indeg[v] = int32(g.InDegree(v))
-		if k.indeg[v] == 0 {
-			if release != nil && release[v] > 0 {
-				k.pending = append(k.pending, finishEvent{release[v], int32(v)})
-			} else {
-				k.ready = append(k.ready, readyItem{int32(v), prio[v]})
-			}
-		}
-	}
-	heapInit(k.ready)
-	heapInit(k.pending)
-
-	// Per-class idle heaps: the outer slice is retained across calls and the
-	// inner heaps keep their backing arrays, so the steady state allocates
-	// nothing. Only classes assigned within the prefix get processors.
+	// One idle bitmap per class; only classes assigned within the prefix
+	// get processors. A class's head is its lowest set bit.
 	nc := pf.NumClasses()
-	if cap(k.idleByClass) < nc {
-		k.idleByClass = make([][]procID, nc)
+	k.resetIdle(nprocs, nc)
+	for p := 0; p < nprocs; p++ {
+		k.free(pf.ClassOf(p), p)
 	}
-	k.idleByClass = k.idleByClass[:nc]
-	for c := range k.idleByClass {
-		k.idleByClass[c] = k.idleByClass[c][:0]
-	}
-	for p := nprocs - 1; p >= 0; p-- {
-		// Reverse insertion plus heapPush keeps each heap ordered lowest
-		// index first without a separate init pass.
-		heapPush(&k.idleByClass[pf.ClassOf(p)], procID(p))
-	}
-	idleCount := nprocs
+	nidle := nprocs
 
 	var t int64
+	done := 0
 	for {
-		for len(k.pending) > 0 && k.pending[0].finish <= t {
-			ev := heapPop(&k.pending)
-			heapPush(&k.ready, readyItem{ev.task, prio[ev.task]})
-		}
-		for len(k.ready) > 0 && idleCount > 0 {
-			it := heapPop(&k.ready)
-			v := int(it.task)
+		k.admit(t)
+		for k.ready.n > 0 && nidle > 0 {
+			v := int(k.byRank[k.ready.popMin()])
 			w := g.Weight(v)
 			// Earliest-finish class: scan the classes with an idle processor
 			// and keep the one whose scaled duration finishes first, breaking
 			// ties by the lowest candidate processor index.
-			bestClass := -1
+			bestClass, bestProc := -1, 0
 			var bestDur int64
-			for c := range k.idleByClass {
-				if len(k.idleByClass[c]) == 0 {
+			for c := 0; c < nc; c++ {
+				if k.idleCount[c] == 0 {
 					continue
 				}
 				d := pf.ScaledWeight(c, w)
-				if bestClass < 0 || d < bestDur ||
-					(d == bestDur && k.idleByClass[c][0] < k.idleByClass[bestClass][0]) {
-					bestClass, bestDur = c, d
+				if bestClass >= 0 && d > bestDur {
+					continue
+				}
+				head := lowestBit(k.idle[c*k.idleWords : (c+1)*k.idleWords])
+				if bestClass < 0 || d < bestDur || head < bestProc {
+					bestClass, bestProc, bestDur = c, head, d
 				}
 			}
-			p := heapPop(&k.idleByClass[bestClass])
-			idleCount--
-			finish := t + bestDur
-			dst.Proc[v] = int32(p)
-			dst.Start[v] = t
-			dst.Finish[v] = finish
-			if finish > dst.Makespan {
-				dst.Makespan = finish
-			}
-			k.order = append(k.order, it.task)
-			heapPush(&k.running, finishEvent{finish, it.task})
+			k.take(bestClass, bestProc)
+			nidle--
+			k.place(dst, v, bestProc, t, t+bestDur)
 		}
-		if len(k.running) == 0 && len(k.pending) == 0 {
+		var ok bool
+		if t, ok = k.next(); !ok {
 			break
 		}
-		next := int64(math.MaxInt64)
-		if len(k.running) > 0 {
-			next = k.running[0].finish
-		}
-		if len(k.pending) > 0 && k.pending[0].finish < next {
-			next = k.pending[0].finish
-		}
-		t = next
 		for len(k.running) > 0 && k.running[0].finish == t {
-			ev := heapPop(&k.running)
-			p := int(dst.Proc[ev.task])
-			heapPush(&k.idleByClass[pf.ClassOf(p)], procID(p))
-			idleCount++
-			for _, succ := range g.Succs(int(ev.task)) {
-				k.indeg[succ]--
-				if k.indeg[succ] == 0 {
-					if release != nil && release[succ] > t {
-						heapPush(&k.pending, finishEvent{release[succ], succ})
-					} else {
-						heapPush(&k.ready, readyItem{succ, prio[succ]})
-					}
-				}
-			}
+			p := k.retire(dst, g, release, t, done)
+			done++
+			k.free(pf.ClassOf(p), p)
+			nidle++
 		}
 	}
-	k.buildByProc(dst)
+	k.cursor = dst.buildByProc(k.cursor)
 	return nil
 }
 

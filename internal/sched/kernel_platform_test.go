@@ -3,6 +3,7 @@ package sched_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lamps/internal/dag"
@@ -48,20 +49,28 @@ func testPlatform(t testing.TB) *power.Platform {
 // TestScheduleIntoPlatformHomogeneousParity pins the tentpole's
 // behaviour-preservation contract at the kernel layer: on a single-class
 // platform, ScheduleIntoPlatform must reproduce ScheduleInto byte for byte —
-// same placement, same times, same per-processor lists — across random
-// graphs, priorities and release times.
+// same placement, same times, same per-processor lists, same finish order —
+// across random graphs, priorities and release times. The last iterations
+// use graphs of more than 4,096 tasks on 65 and 130 processors, so the
+// ready summary and the idle bitmaps span several words.
 func TestScheduleIntoPlatformHomogeneousParity(t *testing.T) {
 	m := power.Default70nm()
 	rng := rand.New(rand.NewSource(20260809))
 	var k, kp sched.Scheduler
 	var legacy, plat sched.Schedule
-	for iter := 0; iter < 40; iter++ {
+	for iter := 0; iter < 44; iter++ {
 		size := 2 + rng.Intn(60)
+		if iter >= 40 {
+			size = 4100 + rng.Intn(400)
+		}
 		g, err := taskgen.Member(size, rng.Intn(4), rng.Int63())
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := g.NumTasks()
+		if iter >= 40 && n <= 4096 {
+			t.Fatalf("iter %d: large case has only %d tasks", iter, n)
+		}
 		var prio []int64
 		if iter%2 == 0 {
 			prio = sched.EDFPriorities(g, 0)
@@ -79,6 +88,9 @@ func TestScheduleIntoPlatformHomogeneousParity(t *testing.T) {
 			}
 		}
 		nprocs := 1 + rng.Intn(8)
+		if iter >= 40 {
+			nprocs = []int{65, 130}[iter%2]
+		}
 		pf, err := power.Homogeneous(nprocs, m)
 		if err != nil {
 			t.Fatal(err)
@@ -110,6 +122,9 @@ func TestScheduleIntoPlatformHomogeneousParity(t *testing.T) {
 					t.Fatalf("iter %d proc %d slot %d: %d != %d", iter, p, i, gp[i], lp[i])
 				}
 			}
+		}
+		if !slices.Equal(plat.FinishOrder(), legacy.FinishOrder()) {
+			t.Fatalf("iter %d: platform finish order diverges from legacy", iter)
 		}
 	}
 }

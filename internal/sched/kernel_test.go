@@ -1,13 +1,17 @@
 package sched_test
 
 import (
+	"bytes"
 	"container/heap"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"lamps/internal/dag"
+	"lamps/internal/power"
 	"lamps/internal/sched"
 	"lamps/internal/taskgen"
 )
@@ -18,9 +22,10 @@ import (
 // This is the list scheduler exactly as it existed before the
 // zero-allocation kernel: three container/heap interface heaps, fresh
 // slices per call, per-processor lists sorted with sort.Slice. It is kept
-// verbatim (modulo test-local naming) as the oracle for the differential
-// parity tests: Scheduler.ScheduleInto must reproduce its output byte for
-// byte.
+// verbatim (modulo test-local naming, and a record of the order in which
+// the running heap retires tasks) as the oracle for the differential
+// parity tests: Scheduler.ScheduleInto must reproduce its output, finish
+// order included, byte for byte.
 // ---------------------------------------------------------------------------
 
 type refReadyItem struct {
@@ -86,13 +91,15 @@ func (h *refIntHeap) Pop() any {
 }
 
 // refSchedule is the reference result: the same arrays a Schedule carries
-// plus the per-processor lists built the pre-kernel way.
+// plus the per-processor lists built the pre-kernel way and the order in
+// which the running heap retired the tasks.
 type refSchedule struct {
 	proc     []int32
 	start    []int64
 	finish   []int64
 	makespan int64
 	byProc   [][]int32
+	order    []int32
 }
 
 func listScheduleReference(g *dag.Graph, nprocs int, prio, release []int64) *refSchedule {
@@ -161,6 +168,7 @@ func listScheduleReference(g *dag.Graph, nprocs int, prio, release []int64) *ref
 		t = next
 		for running.Len() > 0 && running[0].finish == t {
 			ev := heap.Pop(&running).(refEvent)
+			s.order = append(s.order, ev.task)
 			heap.Push(&idle, s.proc[ev.task])
 			for _, succ := range g.Succs(int(ev.task)) {
 				indeg[succ]--
@@ -187,7 +195,8 @@ func listScheduleReference(g *dag.Graph, nprocs int, prio, release []int64) *ref
 }
 
 // requireEqualSchedules fails unless got matches the reference byte for
-// byte: placement, times, makespan and every per-processor task list.
+// byte: placement, times, makespan, every per-processor task list and the
+// finish order.
 func requireEqualSchedules(t *testing.T, ref *refSchedule, got *sched.Schedule, nprocs int) {
 	t.Helper()
 	if got.Makespan != ref.makespan {
@@ -211,6 +220,9 @@ func requireEqualSchedules(t *testing.T, ref *refSchedule, got *sched.Schedule, 
 			}
 		}
 	}
+	if fo := got.FinishOrder(); !slices.Equal(fo, ref.order) {
+		t.Fatalf("finish order %v != reference %v", fo, ref.order)
+	}
 }
 
 // TestScheduleIntoParity is the kernel's differential parity test: on random
@@ -218,18 +230,26 @@ func requireEqualSchedules(t *testing.T, ref *refSchedule, got *sched.Schedule, 
 // EDF and with adversarial random priorities — the reusable zero-allocation
 // kernel must produce schedules byte-identical to the pre-kernel
 // container/heap implementation, while one Scheduler and one Schedule are
-// reused across every configuration.
+// reused across every configuration. The last iterations schedule graphs of
+// more than 4,096 tasks, so the ready set's summary spans two words, on 65
+// and 130 processors, so the idle bitmap spans two and three words.
 func TestScheduleIntoParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	var k sched.Scheduler
 	var reused sched.Schedule
-	for iter := 0; iter < 60; iter++ {
+	for iter := 0; iter < 64; iter++ {
 		size := 2 + rng.Intn(60)
+		if iter >= 60 {
+			size = 4100 + rng.Intn(400)
+		}
 		g, err := taskgen.Member(size, rng.Intn(4), rng.Int63())
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := g.NumTasks()
+		if iter >= 60 && n <= 4096 {
+			t.Fatalf("iter %d: large case has only %d tasks", iter, n)
+		}
 		var prio []int64
 		if iter%2 == 0 {
 			prio = sched.EDFPriorities(g, 0)
@@ -247,6 +267,9 @@ func TestScheduleIntoParity(t *testing.T) {
 			}
 		}
 		nprocs := 1 + rng.Intn(8)
+		if iter >= 60 {
+			nprocs = []int{65, 130}[iter%2]
+		}
 
 		ref := listScheduleReference(g, nprocs, prio, release)
 		if err := k.ScheduleInto(&reused, g, nprocs, prio, release); err != nil {
@@ -389,6 +412,113 @@ func TestGapsTileHorizon(t *testing.T) {
 					t.Fatalf("iter %d proc %d: tiling ends at %d, horizon %d", iter, p, cursor, horizon)
 				}
 			}
+		}
+	}
+}
+
+// TestFinishOrderContract pins Schedule.FinishOrder. On kernel schedules
+// with equal finish times and with releases, homogeneous and on a
+// two-class platform, it is a permutation sorted by (Finish, task).
+// CloneCompact and a WriteJSON→ReadJSON round trip preserve it, and the
+// backup planner, which walks it, plans all three copies bit for bit the
+// same. A Schedule assembled field by field has no finish order, and Plan
+// refuses it.
+func TestFinishOrderContract(t *testing.T) {
+	// Twelve tasks of weights 2 and 4 on three processors finish in groups
+	// of equal times; three edges and staggered releases vary the groups.
+	b := dag.NewBuilder("equal-finishes")
+	for v := 0; v < 12; v++ {
+		b.AddTask(int64(2 + 2*(v%2)))
+	}
+	b.AddEdge(0, 6)
+	b.AddEdge(1, 7)
+	b.AddEdge(2, 8)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prio := sched.EDFPriorities(g, 0)
+	release := []int64{0, 0, 0, 0, 2, 2, 0, 0, 0, 4, 4, 4}
+	pf := testPlatform(t)
+
+	var k sched.Scheduler
+	for _, tc := range []struct {
+		name    string
+		release []int64
+		pf      *power.Platform
+	}{
+		{"homogeneous", nil, nil},
+		{"releases", release, nil},
+		{"platform-releases", release, pf},
+	} {
+		var s sched.Schedule
+		if tc.pf == nil {
+			err = k.ScheduleInto(&s, g, 3, prio, tc.release)
+		} else {
+			err = k.ScheduleIntoPlatform(&s, g, tc.pf, tc.pf.NumProcs(), prio, tc.release)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := checkFinishOrder(&s); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		order := s.FinishOrder()
+		ties := 0
+		for i := 1; i < len(order); i++ {
+			if s.Finish[order[i-1]] == s.Finish[order[i]] {
+				ties++
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("%s: no two tasks finish together; the case does not test the tie-break", tc.name)
+		}
+
+		copies := []*sched.Schedule{&s, s.CloneCompact()}
+		if tc.pf == nil {
+			// ReadJSON validates durations against the weights, which only
+			// homogeneous schedules satisfy.
+			var buf bytes.Buffer
+			if err := s.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			r, err := sched.ReadJSON(&buf)
+			if err != nil {
+				t.Fatalf("%s: ReadJSON: %v", tc.name, err)
+			}
+			copies = append(copies, r)
+		}
+		policy := sched.BackupAnywhere
+		if tc.pf != nil {
+			policy = sched.PrimaryHPBackupLP
+		}
+		want, err := sched.PlanBackups(&s, tc.pf, policy)
+		if err != nil {
+			t.Fatalf("%s: PlanBackups: %v", tc.name, err)
+		}
+		for i, c := range copies[1:] {
+			if !slices.Equal(c.FinishOrder(), order) {
+				t.Fatalf("%s copy %d: finish order %v, want %v", tc.name, i+1, c.FinishOrder(), order)
+			}
+			plan, err := sched.PlanBackups(c, tc.pf, policy)
+			if err != nil {
+				t.Fatalf("%s copy %d: PlanBackups: %v", tc.name, i+1, err)
+			}
+			if !reflect.DeepEqual(plan, want) {
+				t.Fatalf("%s copy %d: backup plan differs from the kernel schedule's", tc.name, i+1)
+			}
+		}
+
+		literal := &sched.Schedule{
+			Graph:    g,
+			NumProcs: s.NumProcs,
+			Proc:     s.Proc,
+			Start:    s.Start,
+			Finish:   s.Finish,
+			Makespan: s.Makespan,
+		}
+		if _, err := sched.PlanBackups(literal, tc.pf, policy); err == nil {
+			t.Fatalf("%s: PlanBackups accepted a schedule without a finish order", tc.name)
 		}
 	}
 }

@@ -7,9 +7,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lamps/internal/dag"
 )
@@ -46,7 +47,18 @@ type Schedule struct {
 	// a counting sort instead of per-processor allocations.
 	byProcFlat []int32
 	byProcOff  []int32 // len NumProcs+1
+
+	// finishOrder lists the tasks in (Finish, task) order; see FinishOrder.
+	finishOrder []int32
 }
+
+// FinishOrder returns the tasks in completion order: sorted by finish time,
+// ties by task index. The scheduling kernels emit it as they retire tasks,
+// CloneCompact copies it and ReadJSON derives it, so only a Schedule
+// assembled field by field lacks it (the result is then empty). Because
+// weights are positive, the order is topological. The returned slice is
+// owned by the schedule and must not be modified.
+func (s *Schedule) FinishOrder() []int32 { return s.finishOrder }
 
 // TasksOn returns the tasks assigned to processor p in execution order. The
 // returned slice is owned by the schedule and must not be modified.
@@ -69,10 +81,11 @@ func (s *Schedule) ProcsUsed() int {
 
 // CloneCompact returns a deep copy of the schedule packed into the minimum
 // number of allocations: one shell, one int64 block shared by Start/Finish,
-// and one int32 block shared by Proc/byProcFlat/byProcOff. Engines that
-// recycle schedule scratch through a pool use it to detach the winning
-// candidate before the scratch is reused; the full-slice-expression caps keep
-// an append on any sub-slice from silently overwriting its neighbours.
+// and one int32 block shared by Proc/byProcFlat/finishOrder/byProcOff.
+// Engines that recycle schedule scratch through a pool use it to detach the
+// winning candidate before the scratch is reused; the full-slice-expression
+// caps keep an append on any sub-slice from silently overwriting its
+// neighbours.
 func (s *Schedule) CloneCompact() *Schedule {
 	n := len(s.Proc)
 	c := &Schedule{
@@ -85,12 +98,15 @@ func (s *Schedule) CloneCompact() *Schedule {
 	c.Finish = t64[n:]
 	copy(c.Start, s.Start)
 	copy(c.Finish, s.Finish)
-	t32 := make([]int32, 2*n+len(s.byProcOff))
+	m := 2*n + len(s.finishOrder)
+	t32 := make([]int32, m+len(s.byProcOff))
 	c.Proc = t32[:n:n]
 	c.byProcFlat = t32[n : 2*n : 2*n]
-	c.byProcOff = t32[2*n:]
+	c.finishOrder = t32[2*n : m : m]
+	c.byProcOff = t32[m:]
 	copy(c.Proc, s.Proc)
 	copy(c.byProcFlat, s.byProcFlat)
+	copy(c.finishOrder, s.finishOrder)
 	copy(c.byProcOff, s.byProcOff)
 	return c
 }
@@ -149,8 +165,9 @@ func (s *Schedule) IdleCycles(horizon int64) int64 {
 
 // Validate checks the structural invariants of the schedule: every task is
 // placed exactly once, intervals on one processor do not overlap, durations
-// equal task weights, all precedence constraints hold, and Makespan is the
-// maximum finish time. It is used by tests and property checks.
+// equal task weights, all precedence constraints hold, Makespan is the
+// maximum finish time, and FinishOrder is the (finish, task) order. It is
+// used by tests and property checks.
 func (s *Schedule) Validate() error {
 	g := s.Graph
 	n := g.NumTasks()
@@ -208,6 +225,21 @@ func (s *Schedule) Validate() error {
 	if total != n {
 		return fmt.Errorf("sched: %d of %d tasks placed", total, n)
 	}
+	// A strictly increasing run of n in-range tasks is a permutation.
+	if len(s.finishOrder) != n {
+		return fmt.Errorf("sched: finish order lists %d of %d tasks", len(s.finishOrder), n)
+	}
+	for i, v := range s.finishOrder {
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("sched: finish order lists invalid task %d", v)
+		}
+		if i > 0 {
+			u := s.finishOrder[i-1]
+			if s.Finish[u] > s.Finish[v] || s.Finish[u] == s.Finish[v] && u >= v {
+				return fmt.Errorf("sched: finish order not sorted by (finish, task) at position %d", i)
+			}
+		}
+	}
 	return nil
 }
 
@@ -230,28 +262,47 @@ func (s *Schedule) String() string {
 	return out
 }
 
-// rebuildByProc rebuilds the flat per-processor task lists from Proc/Start:
-// a counting sort over the processor index followed by a per-processor sort
-// by start time. The scheduling kernel never calls this — it produces the
-// lists directly from its dispatch order — but deserialisation does, because
-// JSON documents may list tasks in any order.
-func (s *Schedule) rebuildByProc() {
-	s.byProcOff = make([]int32, s.NumProcs+1)
-	for _, p := range s.Proc {
-		s.byProcOff[p+1]++
+// buildByProc fills the flat per-processor task lists by a stable counting
+// sort of the finish order over the processor index, and returns cursor
+// grown to the processor count (the kernels keep it as scratch). One
+// processor runs one task at a time and weights are positive, so along the
+// finish order its tasks appear in start order: the stable scatter yields
+// each list sorted by start time without a comparison sort.
+func (s *Schedule) buildByProc(cursor []int32) []int32 {
+	nprocs := s.NumProcs
+	s.byProcOff = grow(s.byProcOff, nprocs+1)
+	clear(s.byProcOff)
+	for _, v := range s.finishOrder {
+		s.byProcOff[s.Proc[v]+1]++
 	}
-	for p := 0; p < s.NumProcs; p++ {
+	for p := 0; p < nprocs; p++ {
 		s.byProcOff[p+1] += s.byProcOff[p]
 	}
-	s.byProcFlat = make([]int32, len(s.Proc))
-	cursor := append([]int32(nil), s.byProcOff[:s.NumProcs]...)
-	for v := range s.Proc {
+	cursor = grow(cursor, nprocs)
+	copy(cursor, s.byProcOff[:nprocs])
+	s.byProcFlat = grow(s.byProcFlat, len(s.finishOrder))
+	for _, v := range s.finishOrder {
 		p := s.Proc[v]
-		s.byProcFlat[cursor[p]] = int32(v)
+		s.byProcFlat[cursor[p]] = v
 		cursor[p]++
 	}
-	for p := 0; p < s.NumProcs; p++ {
-		tasks := s.TasksOn(p)
-		sort.Slice(tasks, func(i, j int) bool { return s.Start[tasks[i]] < s.Start[tasks[j]] })
+	return cursor
+}
+
+// rebuildOrders derives the finish order from Finish and then the
+// per-processor task lists from it, for schedules that did not come from
+// the kernel: deserialisation does this, because JSON documents may list
+// tasks in any order.
+func (s *Schedule) rebuildOrders() {
+	s.finishOrder = make([]int32, len(s.Proc))
+	for v := range s.finishOrder {
+		s.finishOrder[v] = int32(v)
 	}
+	slices.SortFunc(s.finishOrder, func(a, b int32) int {
+		if c := cmp.Compare(s.Finish[a], s.Finish[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	s.buildByProc(nil)
 }
