@@ -109,17 +109,18 @@ alloc-gate:
 
 # The heterogeneous-platform gate. The parity half is the tentpole
 # behaviour-preservation contract: an N-identical-core Platform must produce
-# results byte-identical to the legacy single-model configuration at every
-# layer — kernel placements, energy breakdowns bit for bit, engine results
-# and stats — and both kernels must match their frozen heap-based
-# references on the fuzz seed corpus. The invariant half holds the genuinely heterogeneous path to
+# results byte-identical to the single-model configuration at every layer —
+# kernel placements, energy breakdowns bit for bit, engine results and
+# stats — every homogeneous result must match the frozen golden file
+# (TestHomogeneousGolden), and both kernels must match their frozen
+# heap-based references on the fuzz seed corpus. The invariant half holds the genuinely heterogeneous path to
 # the independent verifier (scaled-slot legality, first-principles energy,
 # LIMIT bounds, the HP-core feasibility separation) and to the platform
 # digest/serving contract. Under -race: the engine evaluates platform
 # candidates from many goroutines.
 hetero-gate:
 	$(GO) test -race -run 'TestScheduleIntoPlatformHomogeneousParity|FuzzScheduleIntoMatchesReference|TestEvaluatePointHomogeneousParity|TestMinFeasiblePointHomogeneousParity' -count=1 -v ./internal/sched ./internal/energy
-	$(GO) test -race -run 'TestHomogeneousPlatformParity|TestHeterogeneous|TestHetero' -count=1 -v ./internal/core
+	$(GO) test -race -run 'TestHomogeneousPlatformParity|TestHomogeneousGolden|TestHeterogeneous|TestHetero' -count=1 -v ./internal/core
 	$(GO) test -race -run 'TestPlatformEnergyParity|TestSelfTestPlatformDetectsEveryClass' -count=1 -v ./internal/verify
 	$(GO) test -race -run 'TestPlatform' -count=1 -v ./internal/graphhash
 	$(GO) test -race -run 'TestSchedulePlatform' -count=1 -v ./internal/server
@@ -139,7 +140,8 @@ store-gate:
 # The fault-tolerance gate. The parity half is the tentpole
 # behaviour-preservation contract: a Faults block with K=0 must be
 # byte-identical to no block at all across all six approaches, homogeneous
-# and heterogeneous, end to end through the serving layer. The invariant
+# and heterogeneous, end to end through the serving layer, and every
+# homogeneous K∈{0,1} result must match the frozen golden file. The invariant
 # half holds the K≥1 path to the independent verifier — backup-plan
 # legality, bit-identical placement against the linear-scan reference
 # planner (random graphs plus the fuzz seed corpus), bit-for-bit FT
@@ -152,7 +154,8 @@ ft-gate:
 	$(GO) test -run 'TestResetFT|TestResetPlatformFT' -count=1 -v ./internal/energy
 	$(GO) test -run 'TestSelfTestFaults|TestFaultPlan' -count=1 -v ./internal/verify
 	$(GO) test -run 'TestReplayFaults' -count=1 -v ./internal/sim
-	$(GO) test -race -run 'TestFaults' -count=1 -v ./internal/core ./internal/graphhash ./internal/verify/campaign
+	$(GO) test -race -run 'TestFaults' -count=1 -v ./internal/graphhash ./internal/verify/campaign
+	$(GO) test -race -run 'TestFaults|TestHomogeneousGolden' -count=1 -v ./internal/core
 	$(GO) test -race -run 'TestFaults' -count=1 -v ./internal/server
 
 # Run the scheduling service locally.

@@ -161,6 +161,13 @@ func kernelBenchmarks(gs []*dag.Graph) ([]kernelReport, error) {
 		return nil, err
 	}
 	prof := energy.NewGapProfile(s)
+	// The one-class platform every homogeneous engine run takes. Its rows
+	// reuse the kernel, schedule and profile of the rows they follow, so
+	// each pair differs only in the entry point.
+	one, err := power.Homogeneous(nprocs, m)
+	if err != nil {
+		return nil, err
+	}
 	// The same reused kernel on 96 processors, where the idle-processor
 	// bitmap spans two words.
 	const wideProcs = 96
@@ -182,6 +189,14 @@ func kernelBenchmarks(gs []*dag.Graph) ([]kernelReport, error) {
 		measure("schedule_after_reused_kernel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := k.ScheduleInto(&reused, g, nprocs, prio, nil); err != nil {
+					benchErr = err
+					b.FailNow()
+				}
+			}
+		}),
+		measure("schedule_platform_one_class_reused_kernel", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := k.ScheduleIntoPlatform(&reused, g, one, nprocs, prio, nil); err != nil {
 					benchErr = err
 					b.FailNow()
 				}
@@ -210,6 +225,17 @@ func kernelBenchmarks(gs []*dag.Graph) ([]kernelReport, error) {
 				prof.Reset(s)
 				for _, lvl := range m.Levels() {
 					if _, err := prof.Evaluate(m, lvl, deadline, energy.Options{PS: true}); err != nil {
+						benchErr = err
+						b.FailNow()
+					}
+				}
+			}
+		}),
+		measure("energy_sweep_platform_one_class", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				prof.ResetPlatform(s, one)
+				for _, pt := range one.Points() {
+					if _, err := prof.EvaluatePoint(one, pt, deadline, energy.Options{PS: true}); err != nil {
 						benchErr = err
 						b.FailNow()
 					}

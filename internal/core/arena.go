@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"lamps/internal/energy"
@@ -9,7 +10,8 @@ import (
 
 // arena is the per-request scratch of one engine invocation: the run state,
 // the memoising scheduler, the candidate and sweep-pair slices, the EDF
-// priority buffer and a free list of recycled Schedule shells. A request
+// priority buffer, a free list of recycled Schedule shells and the
+// one-class platform a homogeneous run evaluates on. A request
 // borrows one arena from arenaPool for its whole lifetime and returns it on
 // normal completion (success or error), so a warm steady stream of requests
 // — RunBatch's worker loop above all — reuses the same handful of buffers
@@ -27,16 +29,34 @@ type arena struct {
 	sc scheduler
 
 	cands []candidate // phase-2 candidate set, value slice
-	pairs []evalPair  // flattened (candidate, level/point) sweep pairs
+	pairs []evalPair  // flattened (candidate, operating point) sweep pairs
 	prio  []int64     // EDF priority scratch for engines without a warm memo
+
+	// homo is the one-class platform of model homoModel that homogeneous
+	// runs evaluate on. Platforms are immutable and never escape into a
+	// Result, so it survives close.
+	homo      *power.Platform
+	homoModel *power.Model
+}
+
+// homogeneous returns a one-class platform of m with at least n
+// processors, rebuilt only when m changes or the cached one is too small,
+// so a warm request allocates nothing here.
+func (a *arena) homogeneous(m *power.Model, n int) (*power.Platform, error) {
+	if a.homo == nil || a.homoModel != m || a.homo.NumProcs() < n {
+		pf, err := power.Homogeneous(n, m)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+		}
+		a.homo, a.homoModel = pf, m
+	}
+	return a.homo, nil
 }
 
 // evalPair is one (candidate, operating point) leaf work item of a +PS
-// sweep. The homogeneous path fills lvl, the heterogeneous path pt; both
-// reduce through the same slice so the two sweeps share one arena buffer.
+// sweep.
 type evalPair struct {
 	c   *candidate
-	lvl power.Level
 	pt  power.OperatingPoint
 	b   energy.Breakdown
 	err error

@@ -18,6 +18,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"lamps/internal/dag"
 	"lamps/internal/power"
@@ -42,8 +43,9 @@ type Config struct {
 
 	// Platform optionally describes a heterogeneous machine: an ordered
 	// vector of processors drawn from named core classes, each with its own
-	// power model and frequency ladder. Nil (or a single-class platform)
-	// reproduces the paper's identical-processor machine exactly — a
+	// power model and frequency ladder. Every run evaluates on a platform:
+	// with Platform nil the engine runs on a one-class platform of Model, so
+	// the paper's identical-processor machine is the one-class case, and a
 	// homogeneous Platform of n copies of model m yields results
 	// byte-identical to Model: m with MaxProcs: n. Setting both Model and
 	// Platform is rejected by validate.
@@ -78,19 +80,11 @@ type Config struct {
 	// every task gets a statically reserved backup slot on another
 	// processor, the deadline must cover the recovery makespan (the latest
 	// backup finish), and the reserved slots are charged as idle time in the
-	// leakage-aware objective. Nil — or K == 0 — takes the legacy path with
-	// no fault-tolerance branch at all, so K=0 results are byte-identical to
-	// a config without Faults.
+	// leakage-aware objective. Nil — or K == 0 — plans no backups, and a
+	// run without a backup plan is priced exactly like one whose plan
+	// reserves nothing, so K=0 results are byte-identical to a config
+	// without Faults.
 	Faults *FaultConfig
-
-	// PruneSweep stops each +PS level sweep at the first operating point
-	// whose total energy strictly exceeds the sweep's running minimum,
-	// relying on the total energy of a fixed schedule being unimodal in the
-	// supply voltage. The default (false) sweeps every feasible level
-	// exhaustively, exactly as the paper does, so paper-fidelity results are
-	// unchanged unless this is opted into. Levels skipped by the pruned walk
-	// are counted in Stats.LevelsSkipped.
-	PruneSweep bool
 }
 
 // FaultPolicy selects where backup slots go; re-exported from
@@ -148,9 +142,13 @@ func DeadlineFactor(g *dag.Graph, m *power.Model, factor float64) Config {
 	}
 }
 
-// model returns the single power model of the homogeneous code path: the
-// explicit Model, a homogeneous Platform's only class, or the default. The
-// heterogeneous engine path never consults it.
+// defaultModel returns the model of a config that sets neither Model nor
+// Platform. One shared instance keeps the model pointer stable across
+// requests, so a request arena's one-class platform survives reuse.
+var defaultModel = sync.OnceValue(power.Default70nm)
+
+// model returns the model of a homogeneous machine: the explicit Model, a
+// homogeneous Platform's only class, or the default.
 func (c *Config) model() *power.Model {
 	if c.Model != nil {
 		return c.Model
@@ -158,12 +156,13 @@ func (c *Config) model() *power.Model {
 	if c.Platform != nil {
 		return c.Platform.ClassModel(0)
 	}
-	return power.Default70nm()
+	return defaultModel()
 }
 
-// heterogeneous reports whether the config selects the heterogeneous engine
-// path: a platform with more than one core class. A nil or single-class
-// platform runs the legacy homogeneous path bit for bit.
+// heterogeneous reports whether the config describes a platform with more
+// than one core class. Only such runs report their Platform and operating
+// Point in the Result; every other run is the paper's identical-processor
+// machine.
 func (c *Config) heterogeneous() bool {
 	return c.Platform != nil && !c.Platform.IsHomogeneous()
 }

@@ -190,54 +190,6 @@ func TestEngineCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestPruneSweepMatchesExhaustive: under the model's unimodal energy-in-V
-// curves the pruned sweep must pick the same winner as the exhaustive one,
-// while provably skipping work (LevelsSkipped > 0, fewer LevelsEvaluated).
-func TestPruneSweepMatchesExhaustive(t *testing.T) {
-	m := power.Default70nm()
-	skippedSomewhere := false
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 80, 0.05, coarseWeight)
-		for _, factor := range []float64{1.5, 3, 6} {
-			cfg := DeadlineFactor(g, m, factor)
-			exhaustive, err := LAMPSPS(g, cfg)
-			if err != nil {
-				t.Fatalf("seed %d factor %g: %v", seed, factor, err)
-			}
-			pcfg := cfg
-			pcfg.PruneSweep = true
-			pruned, err := LAMPSPS(g, pcfg)
-			if err != nil {
-				t.Fatalf("seed %d factor %g pruned: %v", seed, factor, err)
-			}
-			if pruned.TotalEnergy() != exhaustive.TotalEnergy() ||
-				pruned.NumProcs != exhaustive.NumProcs ||
-				pruned.Level != exhaustive.Level {
-				t.Errorf("seed %d factor %g: pruned winner (%.6g J, %d procs, V=%.2f) != exhaustive (%.6g J, %d procs, V=%.2f)",
-					seed, factor,
-					pruned.TotalEnergy(), pruned.NumProcs, pruned.Level.Vdd,
-					exhaustive.TotalEnergy(), exhaustive.NumProcs, exhaustive.Level.Vdd)
-			}
-			if pruned.Stats.LevelsSkipped > 0 {
-				skippedSomewhere = true
-				if pruned.Stats.LevelsEvaluated+pruned.Stats.LevelsSkipped != exhaustive.Stats.LevelsEvaluated {
-					t.Errorf("seed %d factor %g: evaluated %d + skipped %d != exhaustive %d",
-						seed, factor, pruned.Stats.LevelsEvaluated, pruned.Stats.LevelsSkipped,
-						exhaustive.Stats.LevelsEvaluated)
-				}
-			}
-			if exhaustive.Stats.LevelsSkipped != 0 {
-				t.Errorf("seed %d factor %g: exhaustive sweep reported %d skipped levels",
-					seed, factor, exhaustive.Stats.LevelsSkipped)
-			}
-		}
-	}
-	if !skippedSomewhere {
-		t.Error("no configuration skipped any level: the prune flag did nothing")
-	}
-}
-
 // countingObserver tallies hook invocations.
 type countingObserver struct {
 	phases    []string

@@ -128,11 +128,7 @@ func (e *Engine) PerTask(ctx context.Context, g *dag.Graph, ps bool) (*PerTaskRe
 	}
 	slots := make([]slot, len(cands))
 	r.each(len(cands), func(i int) {
-		if r.pf != nil {
-			slots[i].res, slots[i].err = reclaimSchedulePlatform(r.ctx, cands[i].s, r.pf, r.cfg.Deadline, ps, &slots[i].stats)
-		} else {
-			slots[i].res, slots[i].err = reclaimSchedule(r.ctx, cands[i].s, r.m, r.cfg.Deadline, ps, &slots[i].stats)
-		}
+		slots[i].res, slots[i].err = reclaimSchedule(r.ctx, cands[i].s, r.pf, r.cfg.Deadline, ps, &slots[i].stats)
 	})
 
 	var best *PerTaskResult
@@ -152,150 +148,20 @@ func (e *Engine) PerTask(ctx context.Context, g *dag.Graph, ps bool) (*PerTaskRe
 	return best, nil
 }
 
-// reclaimSchedule applies per-task DVS to one fixed schedule. It checks ctx
-// once up front: one reclamation pass is the same order of work as one
-// ListSchedule call, the engine's cancellation granularity.
-func reclaimSchedule(ctx context.Context, s *sched.Schedule, m *power.Model, deadline float64, ps bool, stats *Stats) (*PerTaskResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g := s.Graph
-	n := g.NumTasks()
-	fmax := m.FMax()
-	if float64(s.Makespan)/fmax > deadline*(1+1e-12) {
-		return nil, fmt.Errorf("%w: makespan %d cycles exceeds deadline %.6gs at f_max",
-			ErrInfeasible, s.Makespan, deadline)
-	}
-
-	// Augmented bottom levels: dependence edges plus same-processor ordering
-	// edges, processed in decreasing original start time so every augmented
-	// successor is final before its predecessors.
-	procNext := make([]int32, n)
-	for v := range procNext {
-		procNext[v] = -1
-	}
-	for p := 0; p < s.NumProcs; p++ {
-		tasks := s.TasksOn(p)
-		for i := 0; i+1 < len(tasks); i++ {
-			procNext[tasks[i]] = tasks[i+1]
-		}
-	}
-	order := make([]int32, n)
-	for v := range order {
-		order[v] = int32(v)
-	}
-	sort.Slice(order, func(i, j int) bool { return s.Start[order[i]] > s.Start[order[j]] })
-	blevelAug := make([]int64, n)
-	for _, v := range order {
-		var succMax int64
-		for _, u := range g.Succs(int(v)) {
-			if blevelAug[u] > succMax {
-				succMax = blevelAug[u]
-			}
-		}
-		if u := procNext[v]; u >= 0 && blevelAug[u] > succMax {
-			succMax = blevelAug[u]
-		}
-		blevelAug[v] = g.Weight(int(v)) + succMax
-	}
-
-	// Greedy forward pass in increasing start order.
-	res := &PerTaskResult{
-		Graph:     g,
-		NumProcs:  s.NumProcs,
-		Schedule:  s,
-		Levels:    make([]power.Level, n),
-		StartSec:  make([]float64, n),
-		FinishSec: make([]float64, n),
-	}
-	crit := m.CriticalLevel()
-	minIdx := len(m.Levels()) - 1
-	if ps {
-		// Below the critical frequency, sleeping the saved time is cheaper
-		// than stretching into it.
-		minIdx = crit.Index
-	}
-	procFree := make([]float64, s.NumProcs)
-	var bd energy.Breakdown
-	idleLevel := crit // the parked operating point of an idle processor
-	pIdle := m.IdlePower(idleLevel)
-	breakeven := m.BreakevenTime(idleLevel)
-	chargeGap := func(t float64) {
-		if t <= 0 {
-			return
-		}
-		if ps && t > breakeven {
-			bd.Sleep += t * m.PSleep
-			bd.SleepTime += t
-			bd.Overhead += m.EOverhead
-			bd.Shutdowns++
-		} else {
-			bd.Idle += t * pIdle
-			bd.IdleTime += t
-		}
-	}
-
-	for i := n - 1; i >= 0; i-- { // order is by decreasing start: walk back-to-front
-		v := int(order[i])
-		w := g.Weight(v)
-		st := procFree[s.Proc[v]]
-		for _, p := range g.Preds(v) {
-			if res.FinishSec[p] > st {
-				st = res.FinishSec[p]
-			}
-		}
-		lft := deadline - float64(blevelAug[v]-w)/fmax
-		// Slowest feasible level not below minIdx.
-		chosen := m.MaxLevel()
-		for idx := 1; idx <= minIdx; idx++ {
-			l := m.Level(idx)
-			if st+float64(w)/l.Freq <= lft*(1+1e-12) {
-				chosen = l
-			} else {
-				break
-			}
-		}
-		stats.LevelsEvaluated++
-		fin := st + float64(w)/chosen.Freq
-		if fin > deadline*(1+1e-9) {
-			return nil, fmt.Errorf("%w: task %d cannot meet its window", ErrInfeasible, v)
-		}
-		res.Levels[v] = chosen
-		res.StartSec[v] = st
-		res.FinishSec[v] = fin
-		procFree[s.Proc[v]] = fin
-		bd.Active += float64(w) / chosen.Freq * m.LevelPower(chosen)
-		bd.ActiveTime += float64(w) / chosen.Freq
-	}
-
-	// Gap accounting per processor: leading, interior and trailing idle.
-	for p := 0; p < s.NumProcs; p++ {
-		tasks := s.TasksOn(p)
-		if len(tasks) == 0 {
-			continue // unused processors are off
-		}
-		cursor := 0.0
-		for _, v := range tasks {
-			chargeGap(res.StartSec[v] - cursor)
-			cursor = res.FinishSec[v]
-		}
-		chargeGap(deadline - cursor)
-	}
-	res.Energy = bd
-	return res, nil
-}
-
-// reclaimSchedulePlatform is reclaimSchedule on a heterogeneous platform:
-// every task picks a level from the ladder of *its processor's class*, and
-// idle gaps park at each class's own critical level. The latest-finish bound
-// uses the slowest class's maximum frequency —
+// reclaimSchedule applies per-task DVS to one fixed schedule on platform
+// pf: every task picks a level from the ladder of *its processor's class*,
+// and idle gaps park at each class's own critical level. The latest-finish
+// bound uses the slowest class's maximum frequency —
 //
 //	lft(v) = D − (blevelAug(v) − w(v))/min_c f_max(c)
 //
 // — which is conservative (every downstream task runs at its own class's
 // maximum or faster), so a task finishing by lft(v) can never push the tail
-// past the deadline whatever the downstream placement.
-func reclaimSchedulePlatform(ctx context.Context, s *sched.Schedule, pf *power.Platform, deadline float64, ps bool, stats *Stats) (*PerTaskResult, error) {
+// past the deadline whatever the downstream placement. On one class it is
+// the f_max bound of the identical-processor machine. It checks ctx once up
+// front: one reclamation pass is the same order of work as one
+// ListSchedule call, the engine's cancellation granularity.
+func reclaimSchedule(ctx context.Context, s *sched.Schedule, pf *power.Platform, deadline float64, ps bool, stats *Stats) (*PerTaskResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -312,7 +178,9 @@ func reclaimSchedulePlatform(ctx context.Context, s *sched.Schedule, pf *power.P
 		}
 	}
 
-	// Augmented bottom levels, exactly as in the homogeneous pass.
+	// Augmented bottom levels: dependence edges plus same-processor ordering
+	// edges, processed in decreasing original start time so every augmented
+	// successor is final before its predecessors.
 	procNext := make([]int32, n)
 	for v := range procNext {
 		procNext[v] = -1
@@ -359,6 +227,8 @@ func reclaimSchedulePlatform(ctx context.Context, s *sched.Schedule, pf *power.P
 		m := pf.ModelOf(int(s.Proc[v]))
 		minIdx := len(m.Levels()) - 1
 		if ps {
+			// Below the critical frequency, sleeping the saved time is
+			// cheaper than stretching into it.
 			minIdx = m.CriticalLevel().Index
 		}
 		st := procFree[s.Proc[v]]
@@ -368,6 +238,7 @@ func reclaimSchedulePlatform(ctx context.Context, s *sched.Schedule, pf *power.P
 			}
 		}
 		lft := deadline - float64(blevelAug[v]-w)/fmin
+		// Slowest feasible level not below minIdx.
 		chosen := m.MaxLevel()
 		for idx := 1; idx <= minIdx; idx++ {
 			l := m.Level(idx)

@@ -32,7 +32,6 @@ var Approaches = []string{
 type Stats struct {
 	SchedulesBuilt  int // list-scheduling invocations
 	LevelsEvaluated int // (schedule, level) energy evaluations
-	LevelsSkipped   int // sweep levels pruned by Config.PruneSweep
 }
 
 // Add accumulates another snapshot into s. Long-running callers (the
@@ -41,7 +40,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.SchedulesBuilt += o.SchedulesBuilt
 	s.LevelsEvaluated += o.LevelsEvaluated
-	s.LevelsSkipped += o.LevelsSkipped
 }
 
 // Result is the outcome of one heuristic or bound on one task graph.
@@ -59,8 +57,8 @@ type Result struct {
 	Level power.Level
 
 	// Platform is the heterogeneous machine the result was computed for, or
-	// nil on the legacy single-model path (including a homogeneous Platform
-	// config, which is normalised to its only class model).
+	// nil on an identical-processor machine (a Model config or a one-class
+	// Platform), whose operating point is Level alone.
 	Platform *power.Platform
 
 	// Point is the winning platform operating point: one per-class ladder

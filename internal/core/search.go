@@ -30,7 +30,7 @@ type scheduler struct {
 	prio      []int64
 	obs       *obsHub
 	selfCheck bool            // Config.SelfCheck: verify every freshly built schedule
-	pf        *power.Platform // non-nil on the heterogeneous path: build with ScheduleIntoPlatform
+	pf        *power.Platform // the run's machine
 
 	mu      sync.Mutex
 	byCount []*sched.Schedule // memo indexed by processor count; nil = not built
@@ -106,12 +106,7 @@ func (sc *scheduler) at(n int) (*sched.Schedule, error) {
 	sc.mu.Unlock()
 	k := kernelPool.Get().(*sched.Scheduler)
 	s := sc.getShell()
-	var err error
-	if sc.pf != nil {
-		err = k.ScheduleIntoPlatform(s, sc.g, sc.pf, n, sc.prio, nil)
-	} else {
-		err = k.ScheduleInto(s, sc.g, n, sc.prio, nil)
-	}
+	err := k.ScheduleIntoPlatform(s, sc.g, sc.pf, n, sc.prio, nil)
 	kernelPool.Put(k)
 	if err != nil {
 		sc.putShell(s)
@@ -119,12 +114,13 @@ func (sc *scheduler) at(n int) (*sched.Schedule, error) {
 	}
 	if sc.selfCheck {
 		// Config.SelfCheck: every schedule the kernel emits is re-checked
-		// from first principles before any search step may consume it.
+		// from first principles before any search step may consume it, by
+		// the verifier's single-model check on a one-class machine.
 		var verr error
-		if sc.pf != nil {
-			verr = verify.PlatformSchedule(sc.g, sc.pf, s)
-		} else {
+		if sc.pf.IsHomogeneous() {
 			verr = verify.Schedule(sc.g, s)
+		} else {
+			verr = verify.PlatformSchedule(sc.g, sc.pf, s)
 		}
 		if verr != nil {
 			sc.putShell(s)

@@ -59,10 +59,16 @@ func (b *Builder) AddEdge(from, to int) {
 // NumTasks returns the number of tasks added so far.
 func (b *Builder) NumTasks() int { return len(b.weights) }
 
+// MaxCycles bounds a graph's total work plus its critical path length, in
+// cycles. Every schedule time and every sum of weights, levels or slack is
+// then an int64 that a float64 represents exactly.
+const MaxCycles = 1 << 53
+
 // Build validates the accumulated tasks and edges and returns an immutable
 // Graph with all derived analyses precomputed. It returns an error if the
-// graph is empty, a weight is non-positive, an edge is out of range, a self
-// edge or duplicate edge exists, or the edges form a cycle.
+// graph is empty, a weight is non-positive, total work plus critical path
+// length exceeds MaxCycles, an edge is out of range, a self edge or
+// duplicate edge exists, or the edges form a cycle.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.weights)
 	if n == 0 {
@@ -78,6 +84,10 @@ func (b *Builder) Build() (*Graph, error) {
 	for v, w := range g.weights {
 		if w <= 0 {
 			return nil, fmt.Errorf("%w: task %d has weight %d", ErrBadWeight, v, w)
+		}
+		// g.work <= MaxCycles throughout, so the difference cannot overflow.
+		if w > MaxCycles-g.work {
+			return nil, fmt.Errorf("%w: total work passes %d cycles at task %d", ErrBadWeight, int64(MaxCycles), v)
 		}
 		g.work += w
 	}
@@ -129,6 +139,10 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, err
 	}
 	g.computeLevels()
+	if g.cpl > MaxCycles-g.work {
+		return nil, fmt.Errorf("%w: total work %d plus critical path %d passes %d cycles",
+			ErrBadWeight, g.work, g.cpl, int64(MaxCycles))
+	}
 	g.computeMaxWidth()
 	g.computeSourcesSinks()
 	return g, nil

@@ -105,6 +105,26 @@ func TestBuilderErrors(t *testing.T) {
 			u, _ := b.AddTask(1), b.AddTask(1)
 			b.AddEdge(u, int(wide(1)))
 		}, ErrBadTask},
+		// Two independent 2^62-cycle tasks would wrap total work to -2^63.
+		{"total work overflows", func(b *Builder) {
+			b.AddTask(1 << 62)
+			b.AddTask(1 << 62)
+		}, ErrBadWeight},
+		{"total work past MaxCycles", func(b *Builder) {
+			b.AddTask(MaxCycles)
+			b.AddTask(1)
+		}, ErrBadWeight},
+		// A 2^62-cycle chain would wrap its levels and index past the
+		// width sweep's buffer.
+		{"chain overflows", func(b *Builder) {
+			u, v := b.AddTask(1<<62), b.AddTask(1<<62)
+			b.AddEdge(u, v)
+		}, ErrBadWeight},
+		// Work alone fits, work plus critical path does not.
+		{"work plus critical path past MaxCycles", func(b *Builder) {
+			u, v := b.AddTask(MaxCycles/2), b.AddTask(1)
+			b.AddEdge(u, v)
+		}, ErrBadWeight},
 		{"duplicate edge", func(b *Builder) {
 			u, v := b.AddTask(1), b.AddTask(1)
 			b.AddEdge(u, v)

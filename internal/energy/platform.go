@@ -2,159 +2,10 @@ package energy
 
 import (
 	"fmt"
-	"slices"
 
 	"lamps/internal/power"
 	"lamps/internal/sched"
 )
-
-// classGaps is the per-core-class slice of a platform gap profile: the
-// class's busy totals plus its own sorted inner-gap and last-finish arrays
-// with exact prefix sums, mirroring the homogeneous profile structure once
-// per class (each class has its own power constants and break-even time, so
-// gaps must be classified per class).
-type classGaps struct {
-	busySlot int64 // timeline cycles occupied by task slots on this class
-	busyWork int64 // raw work cycles executed by this class (sum of weights)
-	reserved int64 // timeline cycles held by backup slots (ResetPlatformFT)
-
-	inner    []int64 // inner gap lengths in timeline cycles, sorted ascending
-	innerSum []int64
-	last     []int64 // per-employed-processor last finish, sorted ascending
-	lastSum  []int64
-}
-
-// ResetPlatform re-extracts the profile from a platform schedule: the same
-// walk as Reset, but gaps, last finishes and busy totals are bucketed by
-// the core class of each processor. The legacy homogeneous fields are not
-// touched; a profile loaded with ResetPlatform must be evaluated with
-// EvaluatePoint. Buffers — including the per-class slices — are reused, so
-// steady-state reuse allocates nothing.
-func (p *GapProfile) ResetPlatform(s *sched.Schedule, pf *power.Platform) {
-	p.makespan = s.Makespan
-	nc := pf.NumClasses()
-	if cap(p.classes) < nc {
-		p.classes = make([]classGaps, nc)
-	}
-	p.classes = p.classes[:nc]
-	for c := range p.classes {
-		cg := &p.classes[c]
-		cg.busySlot, cg.busyWork, cg.reserved = 0, 0, 0
-		cg.inner = cg.inner[:0]
-		cg.last = cg.last[:0]
-	}
-	g := s.Graph
-	for proc := 0; proc < s.NumProcs; proc++ {
-		tasks := s.TasksOn(proc)
-		if len(tasks) == 0 {
-			continue // unemployed processors are off and contribute nothing
-		}
-		cg := &p.classes[pf.ClassOf(proc)]
-		var cursor int64
-		for _, v := range tasks {
-			if s.Start[v] > cursor {
-				cg.inner = append(cg.inner, s.Start[v]-cursor)
-			}
-			cursor = s.Finish[v]
-			cg.busySlot += s.Finish[v] - s.Start[v]
-			cg.busyWork += g.Weight(int(v))
-		}
-		cg.last = append(cg.last, cursor)
-	}
-	for c := range p.classes {
-		cg := &p.classes[c]
-		slices.Sort(cg.inner)
-		slices.Sort(cg.last)
-		cg.innerSum = prefixSums(cg.innerSum, cg.inner)
-		cg.lastSum = prefixSums(cg.lastSum, cg.last)
-	}
-}
-
-// EvaluatePoint computes the energy of executing the platform-profiled
-// schedule at operating point pt with the machine available until
-// deadlineSec. The timeline runs at pt.TimelineFreq, so every slot of c
-// timeline cycles lasts c/TimelineFreq seconds; within its slot a task
-// executes its raw work cycles at its class's ladder level and the slot
-// remainder (ceil rounding plus any discrete-level headroom) is charged as
-// idle time at the class's idle power. Gaps are classified against each
-// class's own break-even time, exactly as the homogeneous Evaluate does
-// against the single model's.
-//
-// All cycle totals are exact int64 sums converted to seconds once per
-// class, in ascending class order, so the result is bit-identical to the
-// independent per-gap walk in internal/verify (PlatformEnergy).
-func (p *GapProfile) EvaluatePoint(pf *power.Platform, pt power.OperatingPoint, deadlineSec float64, opts Options) (Breakdown, error) {
-	var b Breakdown
-	ft := pt.TimelineFreq
-	makespanSec := float64(p.makespan) / ft
-	if makespanSec > deadlineSec*(1+1e-12) {
-		return b, fmt.Errorf("%w: makespan %.6gs > deadline %.6gs at %v", ErrDeadline, makespanSec, deadlineSec, pt)
-	}
-	horizon := int64(deadlineSec * ft)
-	if horizon < p.makespan {
-		horizon = p.makespan // guard against float truncation
-	}
-
-	for c := range p.classes {
-		cg := &p.classes[c]
-		if len(cg.last) == 0 {
-			continue // class has no employed processor
-		}
-		m := pf.ClassModel(c)
-		lvl := pt.Levels[c]
-
-		// Active: the class's raw work at its ladder level.
-		activeT := float64(cg.busyWork) / lvl.Freq
-		b.ActiveTime += activeT
-		b.Active += activeT * m.LevelPower(lvl)
-		if opts.IgnoreIdle {
-			continue
-		}
-
-		// Intra-slot idle: the slot time not covered by execution (ceil
-		// rounding of scaled weights plus discrete-level headroom). Zero by
-		// construction on a homogeneous platform at a ladder-exact point.
-		pIdle := m.IdlePower(lvl)
-		if intra := float64(cg.busySlot)/ft - activeT; intra > 0 {
-			b.IdleTime += intra
-			b.Idle += intra * pIdle
-		}
-
-		nEmp := len(cg.last)
-		var idleCycles, sleepCycles int64
-		shutdowns := 0
-		if opts.PS {
-			breakeven := m.BreakevenTime(lvl)
-			i := firstAbove(cg.inner, func(g int64) bool {
-				return float64(g)/ft > breakeven
-			})
-			idleCycles = cg.innerSum[i]
-			sleepCycles = cg.innerSum[len(cg.inner)] - cg.innerSum[i]
-			shutdowns = len(cg.inner) - i
-			j := firstAbove(cg.last, func(lf int64) bool {
-				return float64(horizon-lf)/ft <= breakeven
-			})
-			sleepCycles += int64(j)*horizon - cg.lastSum[j]
-			idleCycles += int64(nEmp-j)*horizon - (cg.lastSum[nEmp] - cg.lastSum[j])
-			shutdowns += j
-		} else {
-			idleCycles = cg.innerSum[len(cg.inner)] + int64(nEmp)*horizon - cg.lastSum[nEmp]
-		}
-		// Backup reservations are idle-but-awake in either mode; zero
-		// outside the fault-tolerant resets.
-		idleCycles += cg.reserved
-
-		idleT := float64(idleCycles) / ft
-		b.IdleTime += idleT
-		b.Idle += idleT * pIdle
-		sleepT := float64(sleepCycles) / ft
-		b.SleepTime += sleepT
-		b.Sleep += sleepT * m.PSleep
-		b.Shutdowns += shutdowns
-		b.Overhead += float64(shutdowns) * m.EOverhead
-	}
-	return b, nil
-}
 
 // MinFeasiblePoint returns the slowest platform operating point at which
 // the schedule's timeline makespan still fits the deadline — the platform
@@ -172,8 +23,14 @@ func MinFeasiblePointCycles(makespan int64, pf *power.Platform, deadlineSec floa
 	need := float64(makespan) / deadlineSec
 	pt, err := pf.PointForFrequency(need)
 	if err != nil {
-		return power.OperatingPoint{}, fmt.Errorf("%w: need %.4g Hz for makespan %d timeline cycles in %.4gs",
-			ErrDeadline, need, makespan, deadlineSec)
+		// One class's timeline cycles are plain cycles, and its message
+		// reads exactly as MinFeasibleLevelCycles'.
+		unit := "timeline cycles"
+		if pf.NumClasses() == 1 {
+			unit = "cycles"
+		}
+		return power.OperatingPoint{}, fmt.Errorf("%w: need %.4g Hz for makespan %d %s in %.4gs",
+			ErrDeadline, need, makespan, unit, deadlineSec)
 	}
 	return pt, nil
 }

@@ -9,50 +9,56 @@ import (
 )
 
 // GapProfile is the idle-interval structure of one schedule, extracted once
-// and then shared by every per-level energy evaluation. It splits a
-// schedule's idle time into the part that is fixed by the schedule (the
-// inner gaps: before the first task and between consecutive tasks of each
-// employed processor) and the part parameterised by the horizon (the
-// trailing slack of each employed processor from its last finish to the
-// deadline). Both parts are kept sorted with exact integer prefix sums, so
-// one Evaluate at an operating point is two binary searches over the
-// break-even threshold plus O(1) arithmetic — O(log G) per level instead of
-// the O(G) per-gap walk, which turns the +PS frequency sweep from
-// O(levels × gaps) into O(gaps·log gaps + levels·log gaps).
+// and then shared by every per-level energy evaluation. It buckets the
+// schedule by core class — one class on an identical-processor machine —
+// and splits each class's idle time into the part that is fixed by the
+// schedule (the inner gaps: before the first slot and between consecutive
+// slots of each employed processor) and the part parameterised by the
+// horizon (the trailing slack of each employed processor from its last
+// finish to the deadline). Both parts are kept sorted with exact integer
+// prefix sums, so one evaluation at an operating point is two binary
+// searches per class over the break-even threshold plus O(1) arithmetic —
+// O(log G) per level instead of the O(G) per-gap walk, which turns the +PS
+// frequency sweep from O(levels × gaps) into O(gaps·log gaps + levels·log
+// gaps).
 //
 // The accounting is identical to the per-gap walk: a gap of g cycles at
-// level l lasts t = g/f(l) seconds and sleeps exactly when PS is enabled and
-// t exceeds the break-even time. Because gap durations are integers in
-// cycles, classifying by t is monotone in g, which is what makes the
-// threshold binary-searchable; the idle/sleep cycle totals are summed in
-// int64 (exact, order-independent) and converted to seconds and joules once,
-// so the profile path and the linear reference walk agree bit-for-bit (see
-// TestGapProfileParity).
+// timeline frequency f lasts t = g/f seconds and sleeps exactly when PS is
+// enabled and t exceeds the class's break-even time. Because gap durations
+// are integers in cycles, classifying by t is monotone in g, which is what
+// makes the threshold binary-searchable; the idle/sleep cycle totals are
+// summed in int64 (exact, order-independent) and converted to seconds and
+// joules once per class, so the profile path and the linear reference
+// walks agree bit-for-bit (see TestGapProfileParity).
 //
-// The zero value is empty; Reset loads a schedule. A profile reused across
-// schedules of the same shape performs no steady-state allocations. It is
-// immutable between Resets and safe for concurrent Evaluate calls.
+// A fault-tolerant profile also carries a backup plan's reserved slots:
+// they split gaps exactly like task slots, and a reserved processor cannot
+// sleep — it must be ready to take over the instant a fault is detected —
+// so their cycles are charged as idle time regardless of the PS option. Its
+// makespan is the recovery makespan, so the deadline check covers recovery.
+//
+// The zero value is empty; one of the Reset methods loads a schedule. A
+// profile reused across schedules of the same shape performs no
+// steady-state allocations. It is immutable between Resets and safe for
+// concurrent evaluation.
 type GapProfile struct {
-	busyCycles int64
-	makespan   int64
+	makespan int64
+	classes  []classGaps
+}
 
-	// reserved counts the cycles held by statically planned backup slots
-	// (ResetFT/ResetPlatformFT). A reserved processor cannot sleep — it must
-	// be ready to take over the instant a fault is detected — so these
-	// cycles are charged as idle time regardless of the PS option. Plain
-	// Reset/ResetPlatform leave it zero, keeping the non-fault-tolerant
-	// accounting bit-identical.
-	reserved int64
+// classGaps is one core class's slice of a gap profile: its busy totals,
+// reserved backup cycles, and sorted inner-gap and last-finish arrays with
+// exact prefix sums (each class has its own power constants and break-even
+// time, so gaps are classified per class).
+type classGaps struct {
+	busySlot int64 // timeline cycles occupied by task slots on this class
+	busyWork int64 // raw work cycles executed by this class (sum of weights)
+	reserved int64 // timeline cycles held by backup slots
 
-	inner    []int64 // inner gap lengths in cycles, sorted ascending
+	inner    []int64 // inner gap lengths in timeline cycles, sorted ascending
 	innerSum []int64 // innerSum[i] = sum of inner[:i]; len(inner)+1
 	last     []int64 // per-employed-processor last finish, sorted ascending
 	lastSum  []int64 // lastSum[i] = sum of last[:i]; len(last)+1
-
-	// classes holds the per-core-class profile of a heterogeneous platform
-	// schedule, populated by ResetPlatform and read by EvaluatePoint. The
-	// homogeneous Reset/Evaluate pair above ignores it entirely.
-	classes []classGaps
 }
 
 // NewGapProfile returns the profile of s. Equivalent to a Reset on a zero
@@ -63,31 +69,135 @@ func NewGapProfile(s *sched.Schedule) *GapProfile {
 	return p
 }
 
-// Reset re-extracts the profile from s, reusing the profile's buffers.
-func (p *GapProfile) Reset(s *sched.Schedule) {
-	p.busyCycles = s.BusyCycles()
+// Reset re-extracts the one-class profile of an identical-processor
+// schedule, reusing the profile's buffers. Evaluate it with Evaluate.
+func (p *GapProfile) Reset(s *sched.Schedule) { p.reset(s, nil, nil) }
+
+// ResetFT is Reset with plan's backup slots reserved. plan must come from
+// the backup planner, which builds the per-processor index the reset
+// merges; a missing or stale index panics rather than charge reserved
+// slots to the wrong processors.
+func (p *GapProfile) ResetFT(s *sched.Schedule, plan *sched.BackupPlan) { p.reset(s, nil, plan) }
+
+// ResetPlatform re-extracts the profile of a platform schedule, bucketed
+// by the core class of each processor. Evaluate it with EvaluatePoint.
+func (p *GapProfile) ResetPlatform(s *sched.Schedule, pf *power.Platform) { p.reset(s, pf, nil) }
+
+// ResetPlatformFT is ResetPlatform with plan's backup slots reserved, on
+// the same terms as ResetFT.
+func (p *GapProfile) ResetPlatformFT(s *sched.Schedule, pf *power.Platform, plan *sched.BackupPlan) {
+	p.reset(s, pf, plan)
+}
+
+// reset walks each employed processor's timeline — its tasks merged with
+// plan's backups, both in start order — into its class's gap buckets. A nil
+// pf means one class; a nil plan reserves nothing. The cost is O(n) plus
+// the gap sorts.
+func (p *GapProfile) reset(s *sched.Schedule, pf *power.Platform, plan *sched.BackupPlan) {
 	p.makespan = s.Makespan
-	p.reserved = 0
-	p.inner = p.inner[:0]
-	p.last = p.last[:0]
+	if plan != nil && plan.RecoveryMakespan > p.makespan {
+		p.makespan = plan.RecoveryMakespan
+	}
+	nc := 1
+	if pf != nil {
+		nc = pf.NumClasses()
+	}
+	if cap(p.classes) < nc {
+		p.classes = make([]classGaps, nc)
+	}
+	p.classes = p.classes[:nc]
+	slots := len(s.Proc)
+	if plan != nil {
+		slots += len(plan.Proc)
+	}
+	for c := range p.classes {
+		cg := &p.classes[c]
+		cg.busySlot, cg.busyWork, cg.reserved = 0, 0, 0
+		// Room for a gap before every slot, so a cold reset allocates each
+		// buffer once instead of growing it.
+		cg.inner = slices.Grow(cg.inner[:0], slots)
+		cg.last = slices.Grow(cg.last[:0], s.NumProcs)
+	}
+	seen := 0
 	for proc := 0; proc < s.NumProcs; proc++ {
 		tasks := s.TasksOn(proc)
-		if len(tasks) == 0 {
-			continue // unemployed processors are off and contribute no gaps
+		var backs []int32
+		if plan != nil {
+			backs = backupsOn(plan, proc)
+			seen += len(backs)
 		}
+		if len(tasks) == 0 && len(backs) == 0 {
+			continue // unemployed processors are off and contribute nothing
+		}
+		cg := &p.classes[0]
+		if nc > 1 {
+			cg = &p.classes[pf.ClassOf(proc)]
+		}
+		// Merge the two start-ordered lists: each backup follows the tasks
+		// starting no later than it.
 		var cursor int64
-		for _, v := range tasks {
-			if s.Start[v] > cursor {
-				p.inner = append(p.inner, s.Start[v]-cursor)
+		ti := 0
+		for _, b := range backs {
+			for ; ti < len(tasks) && s.Start[tasks[ti]] <= plan.Start[b]; ti++ {
+				cursor = cg.slot(cursor, s.Start[tasks[ti]], s.Finish[tasks[ti]])
 			}
-			cursor = s.Finish[v]
+			cursor = cg.reserve(cursor, plan.Start[b], plan.Finish[b])
 		}
-		p.last = append(p.last, cursor)
+		for _, v := range tasks[ti:] {
+			cursor = cg.slot(cursor, s.Start[v], s.Finish[v])
+		}
+		cg.last = append(cg.last, cursor)
 	}
-	slices.Sort(p.inner)
-	slices.Sort(p.last)
-	p.innerSum = prefixSums(p.innerSum, p.inner)
-	p.lastSum = prefixSums(p.lastSum, p.last)
+	if plan != nil && seen != len(plan.Proc) {
+		panic("energy: BackupPlan index does not cover the schedule's processors")
+	}
+	g := s.Graph
+	if nc == 1 {
+		// The only class is the reference class: every slot lasts exactly its
+		// task's weight, so both busy totals are the graph's total work.
+		p.classes[0].busySlot = g.TotalWork()
+		p.classes[0].busyWork = p.classes[0].busySlot
+	} else {
+		for v := range s.Proc {
+			cg := &p.classes[pf.ClassOf(int(s.Proc[v]))]
+			cg.busySlot += s.Finish[v] - s.Start[v]
+			cg.busyWork += g.Weight(v)
+		}
+	}
+	for c := range p.classes {
+		cg := &p.classes[c]
+		slices.Sort(cg.inner)
+		slices.Sort(cg.last)
+		cg.innerSum = prefixSums(cg.innerSum, cg.inner)
+		cg.lastSum = prefixSums(cg.lastSum, cg.last)
+	}
+}
+
+// slot records the gap before a slot [start, finish) on a timeline whose
+// previous slot ended at cursor, and returns the new cursor.
+func (cg *classGaps) slot(cursor, start, finish int64) int64 {
+	if start > cursor {
+		cg.inner = append(cg.inner, start-cursor)
+	}
+	return finish
+}
+
+// reserve is slot for a backup slot, whose cycles are also reserved.
+func (cg *classGaps) reserve(cursor, start, finish int64) int64 {
+	cg.reserved += finish - start
+	return cg.slot(cursor, start, finish)
+}
+
+// backupsOn returns plan's backups on proc in start order, checking that
+// each one is really planned there and that their starts do not decrease.
+func backupsOn(plan *sched.BackupPlan, proc int) []int32 {
+	backs := plan.BackupsOn(proc)
+	for i, v := range backs {
+		if int(plan.Proc[v]) != proc || i > 0 && plan.Start[v] < plan.Start[backs[i-1]] {
+			panic("energy: BackupPlan index is stale; its Proc or Start arrays were edited after planning")
+		}
+	}
+	return backs
 }
 
 // prefixSums writes the prefix sums of src into dst (reused when capacity
@@ -104,65 +214,124 @@ func prefixSums(dst, src []int64) []int64 {
 	return dst
 }
 
-// Evaluate computes the energy of executing the profiled schedule at
-// operating point lvl with the machine available until deadlineSec, exactly
-// as the package-level Evaluate does — same deadline check, same gap
-// classification, same totals — in O(log G) instead of O(G).
+// Evaluate computes the energy of executing a one-class profile (Reset or
+// ResetFT) at operating point lvl of model m with the machine available
+// until deadlineSec, exactly as the package-level Evaluate does — same
+// deadline check, same gap classification, same totals — in O(log G)
+// instead of O(G).
 func (p *GapProfile) Evaluate(m *power.Model, lvl power.Level, deadlineSec float64, opts Options) (Breakdown, error) {
+	return p.evaluate(m, &lvl, nil, nil, deadlineSec, opts)
+}
+
+// EvaluatePoint computes the energy of executing a platform profile
+// (ResetPlatform or ResetPlatformFT) at operating point pt with the machine
+// available until deadlineSec. The timeline runs at pt.TimelineFreq, so
+// every slot of c timeline cycles lasts c/TimelineFreq seconds; within its
+// slot a task executes its raw work cycles at its class's ladder level and
+// the slot remainder (ceil rounding plus any discrete-level headroom) is
+// charged as idle time at the class's idle power. Gaps are classified
+// against each class's own break-even time.
+//
+// All cycle totals are exact int64 sums converted to seconds once per
+// class, in ascending class order, so the result is bit-identical to the
+// independent per-gap walk in internal/verify (PlatformEnergy).
+func (p *GapProfile) EvaluatePoint(pf *power.Platform, pt power.OperatingPoint, deadlineSec float64, opts Options) (Breakdown, error) {
+	return p.evaluate(nil, nil, pf, &pt, deadlineSec, opts)
+}
+
+// evaluate is the one pricing body behind Evaluate (model m at level lvl,
+// pf and pt nil) and EvaluatePoint (platform pf at point pt, m and lvl
+// nil). It is a single frame on purpose: the engine calls it from freshly
+// started goroutines, whose small initial stacks a deeper call chain would
+// have to grow.
+func (p *GapProfile) evaluate(m *power.Model, lvl *power.Level, pf *power.Platform, pt *power.OperatingPoint, deadlineSec float64, opts Options) (Breakdown, error) {
 	var b Breakdown
-	makespanSec := float64(p.makespan) / lvl.Freq
+	var ft float64 // timeline frequency
+	if pt != nil {
+		ft = pt.TimelineFreq
+	} else {
+		ft = lvl.Freq
+	}
+	makespanSec := float64(p.makespan) / ft
 	if makespanSec > deadlineSec*(1+1e-12) {
-		return b, fmt.Errorf("%w: makespan %.6gs > deadline %.6gs at %v", ErrDeadline, makespanSec, deadlineSec, lvl)
+		var at any
+		if pt != nil {
+			at = *pt
+		} else {
+			at = *lvl
+		}
+		return b, fmt.Errorf("%w: makespan %.6gs > deadline %.6gs at %v", ErrDeadline, makespanSec, deadlineSec, at)
 	}
-
-	// Active energy: every cycle of work costs P(lvl)/f(lvl) joules.
-	b.ActiveTime = float64(p.busyCycles) / lvl.Freq
-	b.Active = b.ActiveTime * m.LevelPower(lvl)
-
-	if opts.IgnoreIdle {
-		return b, nil
-	}
-
-	// The horizon is expressed in cycles at lvl so that gap lengths convert
-	// to seconds by dividing by lvl.Freq.
-	horizon := int64(deadlineSec * lvl.Freq)
+	// The horizon is expressed in timeline cycles, so that gap lengths
+	// convert to seconds by dividing by ft.
+	horizon := int64(deadlineSec * ft)
 	if horizon < p.makespan {
 		horizon = p.makespan // guard against float truncation
 	}
-	nEmp := len(p.last)
-	var idleCycles, sleepCycles int64
-	shutdowns := 0
-	if opts.PS {
-		breakeven := m.BreakevenTime(lvl)
-		// Inner gaps are sorted ascending, so "sleeps" is a suffix: binary
-		// search the first index whose duration exceeds the break-even time.
-		i := firstAbove(p.inner, func(g int64) bool {
-			return float64(g)/lvl.Freq > breakeven
-		})
-		idleCycles = p.innerSum[i]
-		sleepCycles = p.innerSum[len(p.inner)] - p.innerSum[i]
-		shutdowns = len(p.inner) - i
-		// Trailing slack horizon−last shrinks as last grows, so "sleeps" is
-		// a prefix of the sorted last-finish times.
-		j := firstAbove(p.last, func(lf int64) bool {
-			return float64(horizon-lf)/lvl.Freq <= breakeven
-		})
-		sleepCycles += int64(j)*horizon - p.lastSum[j]
-		idleCycles += int64(nEmp-j)*horizon - (p.lastSum[nEmp] - p.lastSum[j])
-		shutdowns += j
-	} else {
-		idleCycles = p.innerSum[len(p.inner)] + int64(nEmp)*horizon - p.lastSum[nEmp]
-	}
-	// Backup reservations are idle-but-awake in either mode; zero outside
-	// the fault-tolerant resets.
-	idleCycles += p.reserved
 
-	b.IdleTime = float64(idleCycles) / lvl.Freq
-	b.Idle = b.IdleTime * m.IdlePower(lvl)
-	b.SleepTime = float64(sleepCycles) / lvl.Freq
-	b.Sleep = b.SleepTime * m.PSleep
-	b.Shutdowns = shutdowns
-	b.Overhead = float64(shutdowns) * m.EOverhead
+	for c := range p.classes {
+		cg := &p.classes[c]
+		if len(cg.last) == 0 {
+			continue // class has no employed processor
+		}
+		if pf != nil {
+			m, lvl = pf.ClassModel(c), &pt.Levels[c]
+		}
+
+		// Active: the class's raw work at its ladder level.
+		activeT := float64(cg.busyWork) / lvl.Freq
+		b.ActiveTime += activeT
+		b.Active += activeT * m.LevelPower(*lvl)
+		if opts.IgnoreIdle {
+			continue
+		}
+
+		// Intra-slot idle: the slot time not covered by execution (ceil
+		// rounding of scaled weights plus discrete-level headroom). Zero by
+		// construction on the reference class at a ladder-exact point.
+		pIdle := m.IdlePower(*lvl)
+		if intra := float64(cg.busySlot)/ft - activeT; intra > 0 {
+			b.IdleTime += intra
+			b.Idle += intra * pIdle
+		}
+
+		nEmp := len(cg.last)
+		var idleCycles, sleepCycles int64
+		shutdowns := 0
+		if opts.PS {
+			breakeven := m.BreakevenTime(*lvl)
+			// Inner gaps are sorted ascending, so "sleeps" is a suffix:
+			// binary search the first index whose duration exceeds the
+			// break-even time.
+			i := firstAbove(cg.inner, func(g int64) bool {
+				return float64(g)/ft > breakeven
+			})
+			idleCycles = cg.innerSum[i]
+			sleepCycles = cg.innerSum[len(cg.inner)] - cg.innerSum[i]
+			shutdowns = len(cg.inner) - i
+			// Trailing slack horizon−last shrinks as last grows, so "sleeps"
+			// is a prefix of the sorted last-finish times.
+			j := firstAbove(cg.last, func(lf int64) bool {
+				return float64(horizon-lf)/ft <= breakeven
+			})
+			sleepCycles += int64(j)*horizon - cg.lastSum[j]
+			idleCycles += int64(nEmp-j)*horizon - (cg.lastSum[nEmp] - cg.lastSum[j])
+			shutdowns += j
+		} else {
+			idleCycles = cg.innerSum[len(cg.inner)] + int64(nEmp)*horizon - cg.lastSum[nEmp]
+		}
+		// Backup reservations are idle-but-awake in either mode.
+		idleCycles += cg.reserved
+
+		idleT := float64(idleCycles) / ft
+		b.IdleTime += idleT
+		b.Idle += idleT * pIdle
+		sleepT := float64(sleepCycles) / ft
+		b.SleepTime += sleepT
+		b.Sleep += sleepT * m.PSleep
+		b.Shutdowns += shutdowns
+		b.Overhead += float64(shutdowns) * m.EOverhead
+	}
 	return b, nil
 }
 

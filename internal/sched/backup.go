@@ -127,12 +127,13 @@ type BackupPlanner struct {
 	ivs [][]backupIv // per-processor reserved intervals, sorted by start
 }
 
-// PlanBackups plans one backup slot per task of s under policy. A nil
-// platform means identical processors (durations equal task weights); with
-// a platform, a backup on processor p takes ScaledWeight(ClassOf(p), w)
-// timeline cycles. The plan is deterministic: tasks are processed in
-// (primary finish, task index) order and each backup goes to the eligible
-// processor with the earliest finish, ties broken by processor index.
+// PlanBackups plans one backup slot per task of s under policy. A nil or
+// one-class platform means identical processors (durations equal task
+// weights); with more classes, a backup on processor p takes
+// ScaledWeight(ClassOf(p), w) timeline cycles. The plan is deterministic:
+// tasks are processed in (primary finish, task index) order and each
+// backup goes to the eligible processor with the earliest finish, ties
+// broken by processor index.
 func PlanBackups(s *Schedule, pf *power.Platform, policy FaultPolicy) (*BackupPlan, error) {
 	var bp BackupPlanner
 	return bp.Plan(s, pf, policy)
@@ -156,6 +157,11 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 	}
 	if policy == "" {
 		policy = BackupAnywhere
+	}
+	if pf != nil && pf.NumClasses() == 1 {
+		// Identical processors: every slot is its task's weight and no
+		// class is restricted, so the plan is the nil-platform plan.
+		pf = nil
 	}
 	np := s.NumProcs
 	if np < 2 {

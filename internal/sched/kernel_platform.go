@@ -23,9 +23,9 @@ var ErrBadPlatform = fmt.Errorf("sched: invalid platform or processor count")
 // order determinism.
 //
 // On a single-class platform every scale is 1 and the earliest-finish rule
-// degenerates to "lowest idle processor index", so the produced schedule is
-// byte-identical to ScheduleInto with the same arguments (pinned by
-// TestScheduleIntoPlatformHomogeneousParity).
+// degenerates to "lowest idle processor index", so the call runs the
+// ScheduleInto loop, which skips the class scan and produces a
+// byte-identical schedule (pinned by TestScheduleIntoPlatformHomogeneousParity).
 //
 // Like ScheduleInto, all scratch comes from the Scheduler — the priority
 // ranking memo included — and dst's slices are reused, so steady-state
@@ -33,12 +33,28 @@ var ErrBadPlatform = fmt.Errorf("sched: invalid platform or processor count")
 // (finish, task) order.
 func (k *Scheduler) ScheduleIntoPlatform(dst *Schedule, g *dag.Graph, pf *power.Platform, nprocs int, prio, release []int64) error {
 	if pf == nil || nprocs <= 0 || nprocs > pf.NumProcs() {
-		if nprocs <= 0 {
-			return ErrNoProcs
-		}
-		return fmt.Errorf("%w: %d processors requested of a %d-processor platform",
-			ErrBadPlatform, nprocs, numProcsOf(pf))
+		return badPlatform(pf, nprocs)
 	}
+	// The error and the class loop live in their own functions to keep this
+	// frame small: the engine calls it from freshly started goroutines,
+	// whose small initial stacks a deeper call chain would have to grow.
+	if pf.NumClasses() == 1 {
+		return k.ScheduleInto(dst, g, nprocs, prio, release)
+	}
+	return k.scheduleByClass(dst, g, pf, nprocs, prio, release)
+}
+
+// badPlatform reports why ScheduleIntoPlatform rejected pf and nprocs.
+func badPlatform(pf *power.Platform, nprocs int) error {
+	if nprocs <= 0 {
+		return ErrNoProcs
+	}
+	return fmt.Errorf("%w: %d processors requested of a %d-processor platform",
+		ErrBadPlatform, nprocs, numProcsOf(pf))
+}
+
+// scheduleByClass is ScheduleIntoPlatform on a platform of several classes.
+func (k *Scheduler) scheduleByClass(dst *Schedule, g *dag.Graph, pf *power.Platform, nprocs int, prio, release []int64) error {
 	if err := k.begin(dst, g, nprocs, prio, release); err != nil {
 		return err
 	}

@@ -286,6 +286,17 @@ func TestMalformedRequestsAre400(t *testing.T) {
 			`"graph":{"tasks":[{"weight_cycles":1},{"weight_cycles":2}],"edges":[[0,1,7]]}}`,
 		"edge with one endpoint": `{"approach":"lamps","deadline_factor":2,` +
 			`"graph":{"tasks":[{"weight_cycles":1},{"weight_cycles":2}],"edges":[[1]]}}`,
+		// Total work past dag.MaxCycles: 2^62+2^62 would wrap to a negative
+		// work and be served with a negative energy.
+		"total work overflows": scheduleReq("lamps", map[string]any{
+			"tasks": []map[string]any{{"weight_cycles": int64(1) << 62}, {"weight_cycles": int64(1) << 62}},
+		}, 2),
+		// A 2^62-cycle chain wraps its critical path (a 500 before the
+		// envelope check).
+		"chain overflows": scheduleReq("lamps", map[string]any{
+			"tasks": []map[string]any{{"weight_cycles": int64(1) << 62}, {"weight_cycles": int64(1) << 62}},
+			"edges": [][2]int{{0, 1}},
+		}, 2),
 	}
 	for name, req := range cases {
 		status, body, _ := post(t, ts, req)

@@ -246,6 +246,19 @@ func TestSweepValidation(t *testing.T) {
 				"edges": [][]int{{1}},
 			},
 		}, http.StatusBadRequest},
+		"total work overflows": {map[string]any{
+			"approaches": []string{"ss"}, "deadline_factors": []float64{2},
+			"graph": map[string]any{
+				"tasks": []map[string]any{{"weight_cycles": int64(1) << 62}, {"weight_cycles": int64(1) << 62}},
+			},
+		}, http.StatusBadRequest},
+		"chain overflows": {map[string]any{
+			"approaches": []string{"ss"}, "deadline_factors": []float64{2},
+			"graph": map[string]any{
+				"tasks": []map[string]any{{"weight_cycles": int64(1) << 62}, {"weight_cycles": int64(1) << 62}},
+				"edges": [][2]int{{0, 1}},
+			},
+		}, http.StatusBadRequest},
 		"grid too large": {map[string]any{
 			"approaches": []string{"ss", "lamps", "ss+ps"}, "graph": diamondGraph(),
 			"deadline_factors": []float64{1.5, 2}, // 6 cells > limit 4
