@@ -107,23 +107,26 @@ alloc-gate:
 	$(GO) test -run 'TestRunBatchSteadyStateZeroAlloc|TestRunBatchFaultsSteadyStateAllocBound' -count=1 -v ./internal/core
 	$(GO) test -run 'TestScheduleWarmCacheHitAllocBound' -count=1 -v ./internal/server
 
-# The heterogeneous-platform gate. The parity half is the tentpole
+# The heterogeneous-platform gate. The parity half is the
 # behaviour-preservation contract: an N-identical-core Platform must produce
 # results byte-identical to the single-model configuration at every layer —
 # kernel placements, energy breakdowns bit for bit, engine results and
 # stats — every homogeneous result must match the frozen golden file
 # (TestHomogeneousGolden), and both kernels must match their frozen
-# heap-based references on the fuzz seed corpus. The invariant half holds the genuinely heterogeneous path to
-# the independent verifier (scaled-slot legality, first-principles energy,
-# LIMIT bounds, the HP-core feasibility separation) and to the platform
-# digest/serving contract. Under -race: the engine evaluates platform
-# candidates from many goroutines.
+# heap-based references on the fuzz seed corpus. The invariant half holds
+# the genuinely heterogeneous path to the independent verifier (scaled-slot
+# legality, the one first-principles energy walk on one-class and LP/HP
+# inputs, the mutation self-test on both, LIMIT bounds, the HP-core
+# feasibility separation, the scaled-slot cycle envelope) and to the
+# platform digest/serving contract, including the schedule-handler fuzz
+# seeds. Under -race: the engine evaluates platform candidates from many
+# goroutines.
 hetero-gate:
 	$(GO) test -race -run 'TestScheduleIntoPlatformHomogeneousParity|FuzzScheduleIntoMatchesReference|TestEvaluatePointHomogeneousParity|TestMinFeasiblePointHomogeneousParity' -count=1 -v ./internal/sched ./internal/energy
 	$(GO) test -race -run 'TestHomogeneousPlatformParity|TestHomogeneousGolden|TestHeterogeneous|TestHetero' -count=1 -v ./internal/core
-	$(GO) test -race -run 'TestPlatformEnergyParity|TestSelfTestPlatformDetectsEveryClass' -count=1 -v ./internal/verify
+	$(GO) test -race -run 'TestPlatformEnergyParity|TestSelfTestDetectsEveryClass' -count=1 -v ./internal/verify
 	$(GO) test -race -run 'TestPlatform' -count=1 -v ./internal/graphhash
-	$(GO) test -race -run 'TestSchedulePlatform' -count=1 -v ./internal/server
+	$(GO) test -race -run 'TestSchedulePlatform|FuzzScheduleHandler' -count=1 -v ./internal/server
 
 # The persistence and overload gate: the segment-log store must round-trip
 # byte-identical records, drop truncated or corrupt tails at every byte
@@ -145,10 +148,12 @@ store-gate:
 # half holds the K≥1 path to the independent verifier — backup-plan
 # legality, bit-identical placement against the linear-scan reference
 # planner (random graphs plus the fuzz seed corpus), bit-for-bit FT
-# energy, simulator/verifier agreement on replayed fault patterns,
-# detection of every backup corruption class — and to the digest/serving
-# contract (distinct keys per K and policy, byte-stable bodies through
-# cache, singleflight and a store warm restart, under -race).
+# energy against the verifier's one walk with a backup plan,
+# simulator/verifier agreement on replayed fault patterns, detection of
+# every backup corruption class on one-class and LP/HP platforms — and to
+# the digest/serving contract (distinct keys per K and policy, byte-stable
+# bodies through cache, singleflight and a store warm restart, and the
+# schedule-handler fuzz seeds, under -race).
 ft-gate:
 	$(GO) test -run 'TestPlanBackups|TestBackupPlan|FuzzBackupPlanMatchesReference' -count=1 -v ./internal/sched
 	$(GO) test -run 'TestResetFT|TestResetPlatformFT' -count=1 -v ./internal/energy
@@ -156,7 +161,7 @@ ft-gate:
 	$(GO) test -run 'TestReplayFaults' -count=1 -v ./internal/sim
 	$(GO) test -race -run 'TestFaults' -count=1 -v ./internal/graphhash ./internal/verify/campaign
 	$(GO) test -race -run 'TestFaults|TestHomogeneousGolden' -count=1 -v ./internal/core
-	$(GO) test -race -run 'TestFaults' -count=1 -v ./internal/server
+	$(GO) test -race -run 'TestFaults|FuzzScheduleHandler' -count=1 -v ./internal/server
 
 # Run the scheduling service locally.
 serve:

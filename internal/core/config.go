@@ -18,6 +18,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"lamps/internal/dag"
@@ -197,6 +198,19 @@ func (c *Config) validate(g *dag.Graph) error {
 				return fmt.Errorf("%w: fault tolerance needs at least two processors, platform has %d",
 					ErrBadConfig, c.Platform.NumProcs())
 			}
+		}
+	}
+	if pf := c.Platform; pf != nil {
+		// dag.Builder holds work + CPL to dag.MaxCycles raw cycles; a class
+		// slot lasts up to Scale times its weight on the shared timeline,
+		// so the envelope has to hold after the slowest class's stretch too.
+		scale := 1.0
+		for cl := 0; cl < pf.NumClasses(); cl++ {
+			scale = math.Max(scale, pf.Scale(cl))
+		}
+		if env := g.TotalWork() + g.CriticalPathLength(); float64(env)*scale > dag.MaxCycles {
+			return fmt.Errorf("%w: work + critical path of %d cycles passes %d timeline cycles at the platform's slot stretch %g",
+				dag.ErrBadWeight, env, int64(dag.MaxCycles), scale)
 		}
 	}
 	return nil

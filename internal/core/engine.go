@@ -235,24 +235,14 @@ func (r *run) selfCheckResult(res *Result, ps bool) error {
 	if !r.cfg.SelfCheck || res.Schedule == nil {
 		return nil
 	}
-	// The verifier keeps its single-model walks as an independent oracle
-	// for one-class runs.
-	var err error
-	switch hetero := r.cfg.heterogeneous(); {
-	case hetero && res.Backups != nil:
-		err = verify.PlatformEnergyFTMatches(res.Schedule, r.pf, res.Backups, res.Point, r.cfg.Deadline,
-			energy.Options{PS: ps}, res.Energy)
-	case hetero:
-		err = verify.PlatformEnergyMatches(res.Schedule, r.pf, res.Point, r.cfg.Deadline,
-			energy.Options{PS: ps}, res.Energy)
-	case res.Backups != nil:
-		err = verify.EnergyFTMatches(res.Schedule, r.pf.ClassModel(0), res.Backups, res.Level, r.cfg.Deadline,
-			energy.Options{PS: ps}, res.Energy)
-	default:
-		err = verify.EnergyMatches(res.Schedule, r.pf.ClassModel(0), res.Level, r.cfg.Deadline,
-			energy.Options{PS: ps}, res.Energy)
+	// A one-class result carries its ladder level, which is the platform's
+	// operating point of the same index.
+	pt := res.Point
+	if r.pf.IsHomogeneous() {
+		pt = r.pf.Points()[res.Level.Index]
 	}
-	if err != nil {
+	if err := verify.EnergyMatches(res.Schedule, r.pf, res.Backups, pt, r.cfg.Deadline,
+		energy.Options{PS: ps}, res.Energy); err != nil {
 		return fmt.Errorf("core: self-check: %s result: %w", res.Approach, err)
 	}
 	return nil

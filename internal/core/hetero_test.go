@@ -195,7 +195,7 @@ func TestHeterogeneousApproachesVerified(t *testing.T) {
 						t.Fatalf("g%d f%g %s: makespan %.6gs > deadline %.6gs", gi, factor, approach, ms, cfg.Deadline)
 					}
 					ps := approach == ApproachSSPS || approach == ApproachLAMPSPS
-					if err := verify.PlatformEnergyMatches(r.Schedule, pf, r.Point, cfg.Deadline,
+					if err := verify.EnergyMatches(r.Schedule, pf, nil, r.Point, cfg.Deadline,
 						energy.Options{PS: ps}, r.Energy); err != nil {
 						t.Fatalf("g%d f%g %s: breakdown rejected: %v", gi, factor, approach, err)
 					}
@@ -227,6 +227,51 @@ func TestHeterogeneousSelfCheck(t *testing.T) {
 		if _, err := Run(approach, g, cfg); err != nil {
 			t.Fatalf("%s with SelfCheck: %v", approach, err)
 		}
+	}
+}
+
+// TestHeterogeneousScaledSlotEnvelope: the graph builder caps total work
+// plus critical path at dag.MaxCycles raw cycles, but on a platform every
+// slot is stretched by its class's scale on the shared timeline. A graph
+// inside the raw envelope whose stretched envelope passes dag.MaxCycles
+// (three 2^30-cycle tasks on a class of scale 1e12) must be rejected as a
+// bad weight by every approach, with or without SelfCheck, instead of
+// being scheduled on a wrapped-around timeline; the same graph on the
+// canonical LP/HP machine stays schedulable.
+func TestHeterogeneousScaledSlotEnvelope(t *testing.T) {
+	slow := *power.Default70nm()
+	slow.Ld *= 1e12
+	if err := slow.Build(); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := power.NewPlatform(
+		[]power.CoreClass{{Name: "lp", Model: &slow}, {Name: "hp", Model: power.Default70nm()}},
+		[]int{0, 0, 0, 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := dag.NewBuilder("envelope")
+	for i := 0; i < 3; i++ {
+		b.AddTask(1 << 30)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, selfCheck := range []bool{false, true} {
+		cfg := DeadlineFactorPlatform(g, pf, 2)
+		cfg.SelfCheck = selfCheck
+		for _, approach := range Approaches {
+			if _, err := Run(approach, g, cfg); !errors.Is(err, dag.ErrBadWeight) {
+				t.Errorf("SelfCheck=%v %s: err = %v, want dag.ErrBadWeight", selfCheck, approach, err)
+			}
+		}
+	}
+	cfg := DeadlineFactorPlatform(g, heteroTestPlatform(t), 2)
+	cfg.SelfCheck = true
+	if _, err := Run(ApproachLAMPSPS, g, cfg); err != nil {
+		t.Errorf("canonical LP/HP platform: %v", err)
 	}
 }
 

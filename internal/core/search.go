@@ -114,15 +114,8 @@ func (sc *scheduler) at(n int) (*sched.Schedule, error) {
 	}
 	if sc.selfCheck {
 		// Config.SelfCheck: every schedule the kernel emits is re-checked
-		// from first principles before any search step may consume it, by
-		// the verifier's single-model check on a one-class machine.
-		var verr error
-		if sc.pf.IsHomogeneous() {
-			verr = verify.Schedule(sc.g, s)
-		} else {
-			verr = verify.PlatformSchedule(sc.g, sc.pf, s)
-		}
-		if verr != nil {
+		// from first principles before any search step may consume it.
+		if verr := verify.PlatformSchedule(sc.g, sc.pf, s); verr != nil {
 			sc.putShell(s)
 			return nil, fmt.Errorf("core: self-check: schedule on %d processors: %w", n, verr)
 		}

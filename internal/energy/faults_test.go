@@ -33,8 +33,9 @@ func ftPlatform(t testing.TB) *power.Platform {
 }
 
 // TestResetFTMatchesReferenceWalk sweeps random fault-tolerant profiles
-// against verify.EnergyFT — an independent merged-interval walk — and
-// requires bit-identical breakdowns at every ladder level, with and without
+// against verify.Energy — an independent merged-interval walk — on the
+// one-class platform of the schedule's identical processors, and requires
+// bit-identical breakdowns at every ladder level, with and without
 // processor shutdown. This is the FT counterpart of the Evaluate/per-gap
 // parity pin.
 func TestResetFTMatchesReferenceWalk(t *testing.T) {
@@ -54,6 +55,10 @@ func TestResetFTMatchesReferenceWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pf, err := power.Homogeneous(s.NumProcs, m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		p.ResetFT(s, plan)
 		// A deadline comfortably past the recovery makespan at the slowest
 		// level, so every ladder level is feasible and exercised.
@@ -65,7 +70,7 @@ func TestResetFTMatchesReferenceWalk(t *testing.T) {
 				if err != nil {
 					t.Fatalf("iter %d lvl %d ps=%v: %v", iter, lvl.Index, ps, err)
 				}
-				if verr := verify.EnergyFTMatches(s, m, plan, lvl, deadline, opts, got); verr != nil {
+				if verr := verify.EnergyMatches(s, pf, plan, pf.Points()[lvl.Index], deadline, opts, got); verr != nil {
 					t.Fatalf("iter %d lvl %d ps=%v: %v", iter, lvl.Index, ps, verr)
 				}
 			}
@@ -75,7 +80,7 @@ func TestResetFTMatchesReferenceWalk(t *testing.T) {
 
 // TestResetPlatformFTMatchesReferenceWalk is the heterogeneous parity pin:
 // EvaluatePoint over ResetPlatformFT must agree bit for bit with
-// verify.PlatformEnergyFT across random schedules and operating points.
+// verify.Energy across random schedules and operating points.
 func TestResetPlatformFTMatchesReferenceWalk(t *testing.T) {
 	pf := ftPlatform(t)
 	rng := rand.New(rand.NewSource(7))
@@ -109,7 +114,7 @@ func TestResetPlatformFTMatchesReferenceWalk(t *testing.T) {
 				if err != nil {
 					continue // the sampled point may be deadline-infeasible
 				}
-				if verr := verify.PlatformEnergyFTMatches(&s, pf, plan, pt, deadline, opts, got); verr != nil {
+				if verr := verify.EnergyMatches(&s, pf, plan, pt, deadline, opts, got); verr != nil {
 					t.Fatalf("iter %d ps=%v: %v", iter, ps, verr)
 				}
 			}

@@ -234,7 +234,7 @@ func (p *GapProfile) Evaluate(m *power.Model, lvl power.Level, deadlineSec float
 //
 // All cycle totals are exact int64 sums converted to seconds once per
 // class, in ascending class order, so the result is bit-identical to the
-// independent per-gap walk in internal/verify (PlatformEnergy).
+// independent per-gap walk in internal/verify (verify.Energy).
 func (p *GapProfile) EvaluatePoint(pf *power.Platform, pt power.OperatingPoint, deadlineSec float64, opts Options) (Breakdown, error) {
 	return p.evaluate(nil, nil, pf, &pt, deadlineSec, opts)
 }

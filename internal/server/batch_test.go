@@ -218,20 +218,24 @@ func TestBatchMixedValidInvalid(t *testing.T) {
 		scheduleReq(core.ApproachLAMPS, diamondGraph(), 3), // 7: ok
 		// 8: 400 a 2^62-cycle chain overflows the cycle envelope.
 		`{"approach":"lamps","deadline_factor":2,"graph":{"tasks":[{"weight_cycles":4611686018427387904},{"weight_cycles":4611686018427387904}],"edges":[[0,1]]}}`,
+		// 9: 400 a platform slot stretch of 1e12 takes it past the envelope;
+		// the engine's config check rejects it, so it is an error line but
+		// not one of the lines rejected before execution (invalid).
+		envelopeRequest(t),
 	}
 	status, lines, raw := postBatch(t, ts, ndjsonBody(t, reqs...))
 	if status != 200 {
 		t.Fatalf("batch status %d: %s", status, raw)
 	}
 	byIndex, last := splitBatch(t, lines, len(reqs))
-	wantStatus := map[int]int{0: 200, 1: 400, 2: 400, 3: 400, 4: 422, 5: 200, 6: 400, 7: 200, 8: 400}
+	wantStatus := map[int]int{0: 200, 1: 400, 2: 400, 3: 400, 4: 422, 5: 200, 6: 400, 7: 200, 8: 400, 9: 400}
 	for i, want := range wantStatus {
 		if byIndex[i].Status != want {
 			t.Errorf("line %d: status %d (%s), want %d", i, byIndex[i].Status, byIndex[i].Error, want)
 		}
 	}
-	if last.Summary.OK != 3 || last.Summary.Errors != 6 || last.Summary.Invalid != 5 {
-		t.Errorf("summary %+v, want ok=3 errors=6 invalid=5", last.Summary)
+	if last.Summary.OK != 3 || last.Summary.Errors != 7 || last.Summary.Invalid != 5 {
+		t.Errorf("summary %+v, want ok=3 errors=7 invalid=5", last.Summary)
 	}
 	if last.Summary.Completed != len(reqs) {
 		t.Errorf("completed = %d, want %d", last.Summary.Completed, len(reqs))

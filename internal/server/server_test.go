@@ -297,6 +297,9 @@ func TestMalformedRequestsAre400(t *testing.T) {
 			"tasks": []map[string]any{{"weight_cycles": int64(1) << 62}, {"weight_cycles": int64(1) << 62}},
 			"edges": [][2]int{{0, 1}},
 		}, 2),
+		// Inside the raw envelope, but a class of slot stretch 1e12 takes
+		// the timeline past it (a 200 with a wrapped-around finish before).
+		"platform scaled-slot envelope": envelopeRequest(t),
 	}
 	for name, req := range cases {
 		status, body, _ := post(t, ts, req)
@@ -304,6 +307,30 @@ func TestMalformedRequestsAre400(t *testing.T) {
 			t.Errorf("%s: status %d, want 400; body %s", name, status, body)
 		}
 	}
+}
+
+// envelopeRequest is a lamps+ps request of three independent 2^30-cycle
+// tasks on an LP×3 + HP×1 platform whose LP class (logic depth ×1e12) has
+// a timeline slot stretch of 1e12.
+func envelopeRequest(t *testing.T) map[string]any {
+	t.Helper()
+	slow := *power.Default70nm()
+	slow.Ld *= 1e12
+	if err := slow.Build(); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := power.NewPlatform(
+		[]power.CoreClass{{Name: "lp", Model: &slow}, {Name: "hp", Model: power.Default70nm()}},
+		[]int{0, 0, 0, 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := scheduleReq("lamps+ps", map[string]any{
+		"tasks": []map[string]any{{"weight_cycles": 1 << 30}, {"weight_cycles": 1 << 30}, {"weight_cycles": 1 << 30}},
+	}, 2)
+	req["platform"] = json.RawMessage(platformDoc(t, pf))
+	return req
 }
 
 func TestOversizedRequestsAre413(t *testing.T) {

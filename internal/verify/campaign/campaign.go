@@ -26,6 +26,7 @@ import (
 	"lamps/internal/energy"
 	"lamps/internal/graphhash"
 	"lamps/internal/power"
+	"lamps/internal/sched"
 	"lamps/internal/taskgen"
 	"lamps/internal/verify"
 )
@@ -182,7 +183,11 @@ func Run(ctx context.Context, options Options) (*Report, error) {
 					rep.violate("%s factor %g %s: makespan %gs misses deadline %gs", tag, f, ap, mk, deadline)
 				}
 				ps := ap == core.ApproachSSPS || ap == core.ApproachLAMPSPS
-				if err := verify.EnergyMatches(res.Schedule, m, res.Level, deadline, energy.Options{PS: ps}, res.Energy); err != nil {
+				pf, pt, err := oneClass(res.Schedule, m, res.Level)
+				if err == nil {
+					err = verify.EnergyMatches(res.Schedule, pf, nil, pt, deadline, energy.Options{PS: ps}, res.Energy)
+				}
+				if err != nil {
 					rep.violate("%s factor %g %s: %v", tag, f, ap, err)
 				}
 				rep.EnergyChecks++
@@ -347,7 +352,12 @@ func runSelfTest(rep *Report, tag string, m *power.Model, g *dag.Graph, factors 
 	}
 	cplSec := float64(g.CriticalPathLength()) / m.FMax()
 	deadline := factors[last] * cplSec
-	outcomes, err := verify.SelfTest(g, res.Schedule, m, res.Level, deadline, energy.Options{PS: true})
+	pf, pt, err := oneClass(res.Schedule, m, res.Level)
+	if err != nil {
+		rep.violate("%s: mutation self-test platform: %v", tag, err)
+		return
+	}
+	outcomes, err := verify.SelfTest(g, res.Schedule, pf, pt, deadline, energy.Options{PS: true})
 	if err != nil {
 		rep.violate("%s: mutation self-test baseline: %v", tag, err)
 		return
@@ -363,6 +373,17 @@ func runSelfTest(rep *Report, tag string, m *power.Model, g *dag.Graph, factors 
 			rep.violate("%s: corruption %q went undetected by the verifier", tag, o.Class)
 		}
 	}
+}
+
+// oneClass returns the identical-processor machine of model m that s runs
+// on, as the one-class platform the verifier prices every schedule on, and
+// the operating point of ladder level lvl on it.
+func oneClass(s *sched.Schedule, m *power.Model, lvl power.Level) (*power.Platform, power.OperatingPoint, error) {
+	pf, err := power.Homogeneous(s.NumProcs, m)
+	if err != nil {
+		return nil, power.OperatingPoint{}, err
+	}
+	return pf, pf.Points()[lvl.Index], nil
 }
 
 // relabel rebuilds g with the same structure under fresh labels and name.

@@ -214,11 +214,13 @@ func runFaultCase(ctx context.Context, rep *FaultReport, tag string, g *dag.Grap
 	}
 	rep.PlanChecks++
 	opts := energy.Options{PS: true}
+	pf, pt := mc.pf, r.Point
 	var err error
-	if mc.pf != nil {
-		err = verify.PlatformEnergyFTMatches(r.Schedule, mc.pf, r.Backups, r.Point, base.Deadline, opts, r.Energy)
-	} else {
-		err = verify.EnergyFTMatches(r.Schedule, m, r.Backups, r.Level, base.Deadline, opts, r.Energy)
+	if pf == nil {
+		pf, pt, err = oneClass(r.Schedule, m, r.Level)
+	}
+	if err == nil {
+		err = verify.EnergyMatches(r.Schedule, pf, r.Backups, pt, base.Deadline, opts, r.Energy)
 	}
 	if err != nil {
 		rep.violate("%s %s: %v", tag, mc.name, err)
@@ -249,7 +251,7 @@ func runFaultCase(ctx context.Context, rep *FaultReport, tag string, g *dag.Grap
 	}
 
 	if mutate && mc.pf == nil {
-		outcomes, err := verify.SelfTestFaults(g, r.Schedule, r.Backups, m, r.Level, base.Deadline, opts)
+		outcomes, err := verify.SelfTestFaults(g, r.Schedule, pf, r.Backups, pt, base.Deadline, opts)
 		if err != nil {
 			rep.violate("%s: fault mutation self-test baseline: %v", tag, err)
 			return nil

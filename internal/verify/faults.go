@@ -270,237 +270,6 @@ func RecoverySchedule(g *dag.Graph, s *sched.Schedule, plan *sched.BackupPlan, f
 	return makespan, nil
 }
 
-// EnergyFT recomputes the energy breakdown of a fault-tolerant schedule —
-// the primary schedule plus its reserved backup slots — from first
-// principles, sharing no code with GapProfile.ResetFT. Semantics
-// re-derived: the deadline must cover the recovery makespan; gaps are the
-// idle intervals of each processor's merged primary+backup timeline; a
-// processor holding only backups is still on; reserved backup cycles are
-// charged as idle time in both the PS and non-PS modes, because the
-// processor must stay awake to take over on fault detection. All cycle
-// totals are exact int64 sums with the same final conversions as the
-// profile path, so the two agree bit for bit.
-func EnergyFT(s *sched.Schedule, m *power.Model, plan *sched.BackupPlan, lvl power.Level, deadlineSec float64, opts energy.Options) (energy.Breakdown, error) {
-	var b energy.Breakdown
-	if s == nil || m == nil || plan == nil {
-		return b, fmt.Errorf("verify: nil schedule, model or backup plan")
-	}
-	ftMakespan := s.Makespan
-	if plan.RecoveryMakespan > ftMakespan {
-		ftMakespan = plan.RecoveryMakespan
-	}
-	makespanSec := float64(ftMakespan) / lvl.Freq
-	if makespanSec > deadlineSec*(1+1e-12) {
-		return b, fmt.Errorf("verify: %w", energy.ErrDeadline)
-	}
-
-	var busy int64
-	for v := range s.Start {
-		busy += s.Finish[v] - s.Start[v]
-	}
-	b.ActiveTime = float64(busy) / lvl.Freq
-	b.Active = b.ActiveTime * m.LevelPower(lvl)
-	if opts.IgnoreIdle {
-		return b, nil
-	}
-
-	horizon := int64(deadlineSec * lvl.Freq)
-	if horizon < ftMakespan {
-		horizon = ftMakespan
-	}
-	breakeven := m.BreakevenTime(lvl)
-	var idleCycles, sleepCycles, reserved int64
-	shutdowns := 0
-	account := func(gap int64) {
-		if gap <= 0 {
-			return
-		}
-		if opts.PS && float64(gap)/lvl.Freq > breakeven {
-			sleepCycles += gap
-			shutdowns++
-		} else {
-			idleCycles += gap
-		}
-	}
-
-	type slot struct{ start, finish int64 }
-	byProc := make([][]slot, s.NumProcs)
-	for v := range s.Proc {
-		byProc[s.Proc[v]] = append(byProc[s.Proc[v]], slot{s.Start[v], s.Finish[v]})
-		byProc[plan.Proc[v]] = append(byProc[plan.Proc[v]], slot{plan.Start[v], plan.Finish[v]})
-		reserved += plan.Finish[v] - plan.Start[v]
-	}
-	for _, slots := range byProc {
-		if len(slots) == 0 {
-			continue // neither primaries nor backups: off, no gaps
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i].start < slots[j].start })
-		cursor := int64(0)
-		for _, sl := range slots {
-			account(sl.start - cursor)
-			cursor = sl.finish
-		}
-		account(horizon - cursor)
-	}
-	idleCycles += reserved
-
-	b.IdleTime = float64(idleCycles) / lvl.Freq
-	b.Idle = b.IdleTime * m.IdlePower(lvl)
-	b.SleepTime = float64(sleepCycles) / lvl.Freq
-	b.Sleep = b.SleepTime * m.PSleep
-	b.Shutdowns = shutdowns
-	b.Overhead = float64(shutdowns) * m.EOverhead
-	return b, nil
-}
-
-// EnergyFTMatches recomputes the breakdown with EnergyFT and requires got
-// to be bit-identical, exactly as EnergyMatches does for the non-FT walk.
-func EnergyFTMatches(s *sched.Schedule, m *power.Model, plan *sched.BackupPlan, lvl power.Level, deadlineSec float64, opts energy.Options, got energy.Breakdown) error {
-	want, err := EnergyFT(s, m, plan, lvl, deadlineSec, opts)
-	if err != nil {
-		return &Violation{
-			Check:  CheckEnergy,
-			Detail: fmt.Sprintf("reported breakdown %+v for a fault-tolerant schedule the reference walk rejects: %v", got, err),
-			Repro:  dump(s.Graph, s, nil),
-		}
-	}
-	if got == want {
-		return nil
-	}
-	diffs := breakdownDiffs(got, want)
-	return &Violation{
-		Check: CheckEnergy,
-		Detail: fmt.Sprintf("breakdown differs from the first-principles fault-tolerant walk (level %d, deadline %gs, PS=%v): %s",
-			lvl.Index, deadlineSec, opts.PS, diffs),
-		Repro: dump(s.Graph, s, nil),
-	}
-}
-
-// PlatformEnergyFT is EnergyFT for a heterogeneous platform schedule: the
-// merged primary+backup timelines are walked per class in ascending class
-// order, busy totals count primary slots only, and each class's reserved
-// backup cycles are charged as idle at its own idle power — the same
-// expressions, in the same order, as GapProfile.ResetPlatformFT +
-// EvaluatePoint.
-func PlatformEnergyFT(s *sched.Schedule, pf *power.Platform, plan *sched.BackupPlan, pt power.OperatingPoint, deadlineSec float64, opts energy.Options) (energy.Breakdown, error) {
-	var b energy.Breakdown
-	if s == nil || pf == nil || plan == nil || len(pt.Levels) != pf.NumClasses() {
-		return b, fmt.Errorf("verify: nil schedule, platform or backup plan, or malformed operating point")
-	}
-	ft := pt.TimelineFreq
-	ftMakespan := s.Makespan
-	if plan.RecoveryMakespan > ftMakespan {
-		ftMakespan = plan.RecoveryMakespan
-	}
-	makespanSec := float64(ftMakespan) / ft
-	if makespanSec > deadlineSec*(1+1e-12) {
-		return b, fmt.Errorf("verify: %w", energy.ErrDeadline)
-	}
-	horizon := int64(deadlineSec * ft)
-	if horizon < ftMakespan {
-		horizon = ftMakespan
-	}
-
-	type slot struct {
-		start, finish int64
-		backup        bool
-		task          int32
-	}
-	byProc := make([][]slot, s.NumProcs)
-	for v := range s.Proc {
-		byProc[s.Proc[v]] = append(byProc[s.Proc[v]], slot{s.Start[v], s.Finish[v], false, int32(v)})
-		byProc[plan.Proc[v]] = append(byProc[plan.Proc[v]], slot{plan.Start[v], plan.Finish[v], true, int32(v)})
-	}
-
-	for c := 0; c < pf.NumClasses(); c++ {
-		m := pf.ClassModel(c)
-		lvl := pt.Levels[c]
-		breakeven := m.BreakevenTime(lvl)
-
-		var busyWork, busySlot, reserved, idleCycles, sleepCycles int64
-		shutdowns := 0
-		employed := false
-		account := func(gap int64) {
-			if gap <= 0 {
-				return
-			}
-			if opts.PS && float64(gap)/ft > breakeven {
-				sleepCycles += gap
-				shutdowns++
-			} else {
-				idleCycles += gap
-			}
-		}
-		for p, slots := range byProc {
-			if pf.ClassOf(p) != c || len(slots) == 0 {
-				continue // other class, or holding nothing: off, no gaps
-			}
-			employed = true
-			sort.Slice(slots, func(i, j int) bool { return slots[i].start < slots[j].start })
-			cursor := int64(0)
-			for _, sl := range slots {
-				account(sl.start - cursor)
-				cursor = sl.finish
-				if sl.backup {
-					reserved += sl.finish - sl.start
-				} else {
-					busySlot += sl.finish - sl.start
-					busyWork += s.Graph.Weight(int(sl.task))
-				}
-			}
-			account(horizon - cursor)
-		}
-		if !employed {
-			continue
-		}
-
-		activeT := float64(busyWork) / lvl.Freq
-		b.ActiveTime += activeT
-		b.Active += activeT * m.LevelPower(lvl)
-		if opts.IgnoreIdle {
-			continue
-		}
-		pIdle := m.IdlePower(lvl)
-		if intra := float64(busySlot)/ft - activeT; intra > 0 {
-			b.IdleTime += intra
-			b.Idle += intra * pIdle
-		}
-		idleCycles += reserved
-		idleT := float64(idleCycles) / ft
-		b.IdleTime += idleT
-		b.Idle += idleT * pIdle
-		sleepT := float64(sleepCycles) / ft
-		b.SleepTime += sleepT
-		b.Sleep += sleepT * m.PSleep
-		b.Shutdowns += shutdowns
-		b.Overhead += float64(shutdowns) * m.EOverhead
-	}
-	return b, nil
-}
-
-// PlatformEnergyFTMatches recomputes the breakdown with PlatformEnergyFT
-// and requires got to be bit-identical.
-func PlatformEnergyFTMatches(s *sched.Schedule, pf *power.Platform, plan *sched.BackupPlan, pt power.OperatingPoint, deadlineSec float64, opts energy.Options, got energy.Breakdown) error {
-	want, err := PlatformEnergyFT(s, pf, plan, pt, deadlineSec, opts)
-	if err != nil {
-		return &Violation{
-			Check:  CheckEnergy,
-			Detail: fmt.Sprintf("reported breakdown %+v for a fault-tolerant platform schedule the reference walk rejects: %v", got, err),
-			Repro:  dump(s.Graph, s, nil),
-		}
-	}
-	if got == want {
-		return nil
-	}
-	diffs := breakdownDiffs(got, want)
-	return &Violation{
-		Check: CheckEnergy,
-		Detail: fmt.Sprintf("breakdown differs from the first-principles fault-tolerant platform walk (%v, deadline %gs, PS=%v): %s",
-			pt, deadlineSec, opts.PS, diffs),
-		Repro: dump(s.Graph, s, nil),
-	}
-}
-
 // clonePlan copies the mutable arrays of a backup plan for mutation. The
 // copy is built field by field, so it carries no planner index
 // (BackupPlan.BackupsOn) that the mutation would leave stale.
@@ -520,26 +289,23 @@ func clonePlan(pl *sched.BackupPlan) *sched.BackupPlan {
 // backup that starts before its fault is detectable or before a
 // predecessor's backup, a recovery makespan the deadline cannot cover, and
 // off-by-one recovery-makespan and reserved-energy accounting — injected
-// into copies of a pristine (schedule, plan, breakdown) triple, every
-// applicable one of which FaultPlan or EnergyFTMatches must reject.
+// into copies of a pristine (schedule, plan, breakdown) triple on platform
+// pf at operating point pt, every applicable one of which FaultPlan or
+// EnergyMatches must reject.
 //
 // The pristine inputs are verified first; an error there means the inputs
 // were not a valid baseline and no mutation results are returned.
-func SelfTestFaults(g *dag.Graph, s *sched.Schedule, plan *sched.BackupPlan, m *power.Model, lvl power.Level, deadlineSec float64, opts energy.Options) ([]SelfTestResult, error) {
-	planOpt := FaultPlanOptions{Policy: plan.Policy}
+func SelfTestFaults(g *dag.Graph, s *sched.Schedule, pf *power.Platform, plan *sched.BackupPlan, pt power.OperatingPoint, deadlineSec float64, opts energy.Options) ([]SelfTestResult, error) {
+	planOpt := FaultPlanOptions{Platform: pf, Policy: plan.Policy}
 	if err := FaultPlan(g, s, plan, planOpt); err != nil {
 		return nil, fmt.Errorf("verify: fault self-test baseline plan invalid: %w", err)
 	}
-	base, err := EnergyFT(s, m, plan, lvl, deadlineSec, opts)
+	base, err := Energy(s, pf, plan, pt, deadlineSec, opts)
 	if err != nil {
 		return nil, fmt.Errorf("verify: fault self-test baseline energy invalid: %w", err)
 	}
 
-	type mutation struct {
-		class string
-		run   func() (skipped bool, verr error)
-	}
-	muts := []mutation{
+	return runMutations([]mutation{
 		{"backup-on-primary-proc", func() (bool, error) {
 			c := clonePlan(plan)
 			c.Proc[0] = s.Proc[0]
@@ -597,24 +363,8 @@ func SelfTestFaults(g *dag.Graph, s *sched.Schedule, plan *sched.BackupPlan, m *
 			return false, FaultPlan(g, s, c, planOpt)
 		}},
 		{"reserved-energy-off-by-one", func() (bool, error) {
-			// One phantom reserved cycle: the idle aggregates shift by
-			// exactly one cycle's worth.
-			bad := base
-			bad.IdleTime += 1 / lvl.Freq
-			bad.Idle = bad.IdleTime * m.IdlePower(lvl)
-			return false, EnergyFTMatches(s, m, plan, lvl, deadlineSec, opts, bad)
+			// One phantom reserved cycle.
+			return false, EnergyMatches(s, pf, plan, pt, deadlineSec, opts, phantomIdleCycle(base, pf, pt))
 		}},
-	}
-
-	results := make([]SelfTestResult, 0, len(muts))
-	for _, mu := range muts {
-		skipped, verr := mu.run()
-		results = append(results, SelfTestResult{
-			Class:    mu.class,
-			Skipped:  skipped,
-			Detected: !skipped && verr != nil,
-			Err:      verr,
-		})
-	}
-	return results, nil
+	}), nil
 }

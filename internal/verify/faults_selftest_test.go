@@ -23,34 +23,56 @@ func faultFixture(t *testing.T) (*sched.Schedule, *sched.BackupPlan) {
 }
 
 // TestSelfTestFaultsDetectsEveryClass: every fault corruption class must be
-// applicable on the fork-join fixture, every one must be detected, and each
-// detection must be a Violation — the test that the new checkers actually
-// reject what they claim to reject.
+// applicable on the fork-join fixture — on two identical processors, and
+// on the LP/HP platform under both backup policies — every one must be
+// detected, and each detection must be a Violation: the test that the
+// checkers actually reject what they claim to reject.
 func TestSelfTestFaultsDetectsEveryClass(t *testing.T) {
+	type input struct {
+		name string
+		s    *sched.Schedule
+		pf   *power.Platform
+		plan *sched.BackupPlan
+		pt   power.OperatingPoint
+	}
 	s, plan := faultFixture(t)
-	g := s.Graph
-	m := power.Default70nm()
-	lvl := m.CriticalLevel()
-	deadline := float64(plan.RecoveryMakespan) / lvl.Freq * 2
-	for _, opts := range []energy.Options{{}, {PS: true}} {
-		results, err := SelfTestFaults(g, s, plan, m, lvl, deadline, opts)
+	one := oneClass(t, 2)
+	inputs := []input{{"one-class", s, one, plan, one.Points()[power.Default70nm().CriticalLevel().Index]}}
+	hetero := heteroPlatform(t)
+	for _, policy := range []sched.FaultPolicy{sched.BackupAnywhere, sched.PrimaryHPBackupLP} {
+		var hs sched.Schedule
+		var k sched.Scheduler
+		if err := k.ScheduleIntoPlatform(&hs, s.Graph, hetero, hetero.NumProcs(), sched.LPTPriorities(s.Graph), nil); err != nil {
+			t.Fatal(err)
+		}
+		hplan, err := sched.PlanBackups(&hs, hetero, policy)
 		if err != nil {
-			t.Fatalf("PS=%v: %v", opts.PS, err)
+			t.Fatal(err)
 		}
-		if len(results) < 8 {
-			t.Fatalf("only %d fault mutation classes", len(results))
-		}
-		for _, r := range results {
-			if r.Skipped {
-				t.Errorf("PS=%v: class %q not applicable on a fork-join fixture", opts.PS, r.Class)
-				continue
+		inputs = append(inputs, input{"lp/hp " + string(policy), &hs, hetero, hplan, hetero.MaxPoint()})
+	}
+	for _, in := range inputs {
+		deadline := float64(in.plan.RecoveryMakespan) / in.pt.TimelineFreq * 2
+		for _, opts := range []energy.Options{{}, {PS: true}} {
+			results, err := SelfTestFaults(in.s.Graph, in.s, in.pf, in.plan, in.pt, deadline, opts)
+			if err != nil {
+				t.Fatalf("%s PS=%v: %v", in.name, opts.PS, err)
 			}
-			if !r.Detected {
-				t.Errorf("PS=%v: corruption %q went undetected", opts.PS, r.Class)
-				continue
+			if len(results) < 8 {
+				t.Fatalf("%s: only %d fault mutation classes", in.name, len(results))
 			}
-			if !errors.Is(r.Err, ErrViolation) {
-				t.Errorf("PS=%v: class %q detected with a non-Violation error: %v", opts.PS, r.Class, r.Err)
+			for _, r := range results {
+				if r.Skipped {
+					t.Errorf("%s PS=%v: class %q not applicable on a fork-join fixture", in.name, opts.PS, r.Class)
+					continue
+				}
+				if !r.Detected {
+					t.Errorf("%s PS=%v: corruption %q went undetected", in.name, opts.PS, r.Class)
+					continue
+				}
+				if !errors.Is(r.Err, ErrViolation) {
+					t.Errorf("%s PS=%v: class %q detected with a non-Violation error: %v", in.name, opts.PS, r.Class, r.Err)
+				}
 			}
 		}
 	}
@@ -63,10 +85,10 @@ func TestSelfTestFaultsRejectsBadBaseline(t *testing.T) {
 	bad := clonePlan(plan)
 	bad.Start[0] = s.Finish[0] - 1
 	bad.Finish[0] = bad.Start[0] + (plan.Finish[0] - plan.Start[0])
-	m := power.Default70nm()
-	lvl := m.CriticalLevel()
-	deadline := float64(plan.RecoveryMakespan) / lvl.Freq * 2
-	if _, err := SelfTestFaults(s.Graph, s, bad, m, lvl, deadline, energy.Options{}); !errors.Is(err, ErrViolation) {
+	pf := oneClass(t, 2)
+	pt := pf.MaxPoint()
+	deadline := float64(plan.RecoveryMakespan) / pt.TimelineFreq * 2
+	if _, err := SelfTestFaults(s.Graph, s, pf, bad, pt, deadline, energy.Options{}); !errors.Is(err, ErrViolation) {
 		t.Fatalf("corrupt baseline: %v", err)
 	}
 }

@@ -23,26 +23,25 @@ type SelfTestResult struct {
 // SelfTest answers the "who verifies the verifier" question by injecting
 // known corruptions — swapped starts, an overlap nudge, a dropped edge, an
 // off-by-one energy gap, and friends — into copies of a known-good
-// (graph, schedule, breakdown) triple and checking that the verifier
-// rejects every one of them. A verifier that accepts a corrupted artefact
-// is itself broken, so campaigns treat any applicable-but-undetected class
-// as a violation.
+// (graph, schedule, breakdown) triple on platform pf at operating point pt
+// and checking that the verifier rejects every one of them. On a platform
+// with more than one class it adds the corruption unique to heterogeneity:
+// a task moved to a processor of a different-speed class while keeping its
+// times, which only a duration check aware of per-class scaling can catch.
+// A verifier that accepts a corrupted artefact is itself broken, so
+// campaigns treat any applicable-but-undetected class as a violation.
 //
 // The pristine inputs are verified first; an error there means the inputs
 // were not a valid baseline and no mutation results are returned.
-func SelfTest(g *dag.Graph, s *sched.Schedule, m *power.Model, lvl power.Level, deadlineSec float64, opts energy.Options) ([]SelfTestResult, error) {
-	if err := Schedule(g, s); err != nil {
+func SelfTest(g *dag.Graph, s *sched.Schedule, pf *power.Platform, pt power.OperatingPoint, deadlineSec float64, opts energy.Options) ([]SelfTestResult, error) {
+	if err := PlatformSchedule(g, pf, s); err != nil {
 		return nil, fmt.Errorf("verify: self-test baseline schedule invalid: %w", err)
 	}
-	base, err := Energy(s, m, lvl, deadlineSec, opts)
+	base, err := Energy(s, pf, nil, pt, deadlineSec, opts)
 	if err != nil {
 		return nil, fmt.Errorf("verify: self-test baseline energy invalid: %w", err)
 	}
 
-	type mutation struct {
-		class string
-		run   func() (skipped bool, verr error)
-	}
 	muts := []mutation{
 		{"swapped-starts", func() (bool, error) {
 			p := procWithTwoTasks(s)
@@ -54,7 +53,7 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, m *power.Model, lvl power.Level, 
 			c := cloneSchedule(s)
 			c.Start[a], c.Start[b] = s.Start[b], s.Start[a]
 			c.Finish[a], c.Finish[b] = s.Finish[b], s.Finish[a]
-			return false, Schedule(g, c)
+			return false, PlatformSchedule(g, pf, c)
 		}},
 		{"overlap", func() (bool, error) {
 			// Nudge a task one cycle earlier without changing its duration:
@@ -67,7 +66,7 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, m *power.Model, lvl power.Level, 
 					if s.Start[tasks[i]] == s.Finish[tasks[i-1]] {
 						c.Start[tasks[i]]--
 						c.Finish[tasks[i]]--
-						return false, Schedule(g, c)
+						return false, PlatformSchedule(g, pf, c)
 					}
 				}
 			}
@@ -75,7 +74,7 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, m *power.Model, lvl power.Level, 
 				if s.Start[v] == 0 {
 					c.Start[v]--
 					c.Finish[v]--
-					return false, Schedule(g, c)
+					return false, PlatformSchedule(g, pf, c)
 				}
 			}
 			return true, nil
@@ -93,8 +92,7 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, m *power.Model, lvl power.Level, 
 			if err != nil {
 				return false, fmt.Errorf("verify: self-test cannot augment graph: %w", err)
 			}
-			verr := ScheduleWithin(augmented, s, ScheduleOptions{})
-			return false, verr
+			return false, PlatformSchedule(augmented, pf, s)
 		}},
 		{"wrong-proc", func() (bool, error) {
 			if s.NumProcs < 2 {
@@ -102,42 +100,64 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, m *power.Model, lvl power.Level, 
 			}
 			c := cloneSchedule(s)
 			c.Proc[0] = (c.Proc[0] + 1) % int32(s.NumProcs)
-			return false, Schedule(g, c)
+			return false, PlatformSchedule(g, pf, c)
 		}},
 		{"duration", func() (bool, error) {
 			c := cloneSchedule(s)
 			c.Finish[0]--
-			return false, Schedule(g, c)
+			return false, PlatformSchedule(g, pf, c)
 		}},
 		{"makespan-off-by-one", func() (bool, error) {
 			c := cloneSchedule(s)
 			c.Makespan++
-			return false, Schedule(g, c)
+			return false, PlatformSchedule(g, pf, c)
 		}},
 		{"release", func() (bool, error) {
 			rel := make([]int64, len(s.Start))
 			rel[0] = s.Start[0] + 1
-			return false, ScheduleWithin(g, s, ScheduleOptions{Release: rel})
+			return false, PlatformScheduleWithin(g, pf, s, ScheduleOptions{Release: rel})
 		}},
 		{"deadline", func() (bool, error) {
-			return false, ScheduleWithin(g, s, ScheduleOptions{DeadlineCycles: s.Makespan - 1})
+			return false, PlatformScheduleWithin(g, pf, s, ScheduleOptions{DeadlineCycles: s.Makespan - 1})
 		}},
 		{"gap-off-by-one", func() (bool, error) {
-			// One idle cycle appears out of nowhere: the breakdown's idle
-			// aggregates shift by exactly one cycle's worth.
-			bad := base
-			bad.IdleTime += 1 / lvl.Freq
-			bad.Idle = bad.IdleTime * m.IdlePower(lvl)
-			return false, EnergyMatches(s, m, lvl, deadlineSec, opts, bad)
+			return false, EnergyMatches(s, pf, nil, pt, deadlineSec, opts, phantomIdleCycle(base, pf, pt))
 		}},
 		{"shutdown-miscount", func() (bool, error) {
 			bad := base
 			bad.Shutdowns++
-			bad.Overhead = float64(bad.Shutdowns) * m.EOverhead
-			return false, EnergyMatches(s, m, lvl, deadlineSec, opts, bad)
+			bad.Overhead += pf.ClassModel(0).EOverhead
+			return false, EnergyMatches(s, pf, nil, pt, deadlineSec, opts, bad)
 		}},
 	}
+	if !pf.IsHomogeneous() {
+		muts = append(muts, mutation{"class-swap", func() (bool, error) {
+			// Move one task to an idle-at-the-time processor of a class with a
+			// different scale, keeping Start/Finish: legality-by-intervals still
+			// holds whenever the target slot is free, but the slot length no
+			// longer matches the new class's scaled weight.
+			v, p := classSwapTarget(g, pf, s)
+			if v < 0 {
+				return true, nil
+			}
+			c := cloneSchedule(s)
+			c.Proc[v] = int32(p)
+			return false, PlatformSchedule(g, pf, c)
+		}})
+	}
+	return runMutations(muts), nil
+}
 
+// mutation is one corruption class of a self-test: run applies it to a copy
+// of the pristine inputs and returns the checker's verdict, or reports that
+// the class does not apply to their shape.
+type mutation struct {
+	class string
+	run   func() (skipped bool, verr error)
+}
+
+// runMutations runs every mutation and records its outcome.
+func runMutations(muts []mutation) []SelfTestResult {
 	results := make([]SelfTestResult, 0, len(muts))
 	for _, mu := range muts {
 		skipped, verr := mu.run()
@@ -148,7 +168,17 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, m *power.Model, lvl power.Level, 
 			Err:      verr,
 		})
 	}
-	return results, nil
+	return results
+}
+
+// phantomIdleCycle returns base with one timeline cycle of idle time that
+// appears out of nowhere on the reference class: the breakdown's idle
+// aggregates shift by exactly one cycle's worth.
+func phantomIdleCycle(base energy.Breakdown, pf *power.Platform, pt power.OperatingPoint) energy.Breakdown {
+	ref := pf.RefClass()
+	base.IdleTime += 1 / pt.TimelineFreq
+	base.Idle += (1 / pt.TimelineFreq) * pf.ClassModel(ref).IdlePower(pt.Levels[ref])
+	return base
 }
 
 // cloneSchedule copies the mutable placement state of s. The unexported
@@ -244,4 +274,38 @@ func withExtraEdge(g *dag.Graph, u, v int) (*dag.Graph, error) {
 	}
 	b.AddEdge(u, v)
 	return b.Build()
+}
+
+// classSwapTarget finds a task v and a processor p of a class with a
+// different scaled weight for v than v's current class, such that v's time
+// interval is free on p. Returns (-1, -1) when the platform is effectively
+// homogeneous for every placed task or no free slot exists.
+func classSwapTarget(g *dag.Graph, pf *power.Platform, s *sched.Schedule) (int, int) {
+	for v := range s.Proc {
+		cur := pf.ClassOf(int(s.Proc[v]))
+		w := g.Weight(v)
+		for p := 0; p < s.NumProcs; p++ {
+			c := pf.ClassOf(p)
+			if pf.ScaledWeight(c, w) == pf.ScaledWeight(cur, w) {
+				continue
+			}
+			if intervalFree(s, p, s.Start[v], s.Finish[v]) {
+				return v, p
+			}
+		}
+	}
+	return -1, -1
+}
+
+// intervalFree reports whether processor p runs no task overlapping [lo, hi).
+func intervalFree(s *sched.Schedule, p int, lo, hi int64) bool {
+	for v := range s.Proc {
+		if int(s.Proc[v]) != p {
+			continue
+		}
+		if s.Start[v] < hi && s.Finish[v] > lo {
+			return false
+		}
+	}
+	return true
 }

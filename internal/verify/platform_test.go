@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -90,83 +91,65 @@ func TestPlatformScheduleRejectsScaledDurationMismatch(t *testing.T) {
 }
 
 // TestPlatformEnergyParity: the verifier's independent per-gap walk and the
-// profile's bucketed evaluation must agree bit for bit on heterogeneous
-// schedules — every Breakdown field — across operating points, PS modes and
-// slacks. This is the cross-implementation contract SelfCheck relies on.
+// profile's bucketed evaluation must agree bit for bit — every Breakdown
+// field, shutdown counts included — at every operating point, PS on and
+// off, IgnoreIdle, and deadlines from exact fit to 8x slack, on two inputs:
+// the paper's identical-processor machine as a one-class platform (list
+// schedules on 1, 3 and max-width processors) and the LP/HP platform
+// (platform-kernel schedules). This is the verifier's licence to call any
+// future mismatch a violation, and the cross-implementation contract
+// SelfCheck relies on.
 func TestPlatformEnergyParity(t *testing.T) {
+	type input struct {
+		name   string
+		pf     *power.Platform
+		s      *sched.Schedule
+		slacks []float64
+	}
+	var inputs []input
+	for i := 0; i < 12; i++ {
+		g := member(t, 8+4*i, i, int64(3000+i))
+		for _, nprocs := range []int{1, 3, g.MaxWidth()} {
+			inputs = append(inputs, input{fmt.Sprintf("one-class graph %d procs %d", i, nprocs),
+				oneClass(t, nprocs), schedule(t, g, nprocs), []float64{1, 1.0001, 2, 8}})
+		}
+	}
 	pf := heteroPlatform(t)
 	rng := rand.New(rand.NewSource(20260809))
-	var p energy.GapProfile
 	for iter := 0; iter < 20; iter++ {
 		g := member(t, 2+rng.Intn(40), rng.Intn(4), rng.Int63())
 		s, err := sched.ListSchedulePlatform(g, pf, pf.NumProcs(), sched.EDFPriorities(g, 0), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.ResetPlatform(s, pf)
-		for _, pt := range pf.Points() {
-			base := float64(s.Makespan) / pt.TimelineFreq
-			for _, slack := range []float64{1, 1.7, 6} {
+		inputs = append(inputs, input{fmt.Sprintf("lp/hp iter %d", iter), pf, s, []float64{1, 1.7, 6}})
+	}
+
+	var p energy.GapProfile
+	for _, in := range inputs {
+		p.ResetPlatform(in.s, in.pf)
+		for _, pt := range in.pf.Points() {
+			base := float64(in.s.Makespan) / pt.TimelineFreq
+			for _, slack := range in.slacks {
 				deadline := base * slack
 				for _, opts := range []energy.Options{{}, {PS: true}, {IgnoreIdle: true}} {
-					got, errGot := p.EvaluatePoint(pf, pt, deadline, opts)
-					want, errWant := PlatformEnergy(s, pf, pt, deadline, opts)
+					got, errGot := p.EvaluatePoint(in.pf, pt, deadline, opts)
+					want, errWant := Energy(in.s, in.pf, nil, pt, deadline, opts)
 					if (errGot == nil) != (errWant == nil) {
-						t.Fatalf("iter %d pt %d: err %v vs verifier %v", iter, pt.Index, errGot, errWant)
+						t.Fatalf("%s pt %d: err %v vs verifier %v", in.name, pt.Index, errGot, errWant)
 					}
 					if errGot != nil {
 						continue
 					}
 					if got != want {
-						t.Fatalf("iter %d pt %d slack %g opts %+v:\n  profile  %+v\n  verifier %+v",
-							iter, pt.Index, slack, opts, got, want)
+						t.Fatalf("%s pt %d slack %g opts %+v:\n  profile  %+v\n  verifier %+v",
+							in.name, pt.Index, slack, opts, got, want)
 					}
-					if err := PlatformEnergyMatches(s, pf, pt, deadline, opts, got); err != nil {
-						t.Fatalf("iter %d pt %d: PlatformEnergyMatches rejects the parity value: %v", iter, pt.Index, err)
+					if err := EnergyMatches(in.s, in.pf, nil, pt, deadline, opts, got); err != nil {
+						t.Fatalf("%s pt %d: EnergyMatches rejects the parity value: %v", in.name, pt.Index, err)
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestSelfTestPlatformDetectsEveryClass: every applicable corruption class
-// of the platform self-test — including the heterogeneity-specific
-// class-swap — must be detected on a machine and graph where all mutations
-// apply.
-func TestSelfTestPlatformDetectsEveryClass(t *testing.T) {
-	pf := heteroPlatform(t)
-	g := member(t, 40, 0, 5)
-	s, err := sched.ListSchedulePlatform(g, pf, pf.NumProcs(), sched.EDFPriorities(g, 0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := pf.MaxPoint()
-	deadline := float64(s.Makespan) / pt.TimelineFreq * 2
-	results, err := SelfTestPlatform(g, pf, s, pt, deadline, energy.Options{PS: true})
-	if err != nil {
-		t.Fatalf("SelfTestPlatform: %v", err)
-	}
-	detected := 0
-	for _, r := range results {
-		if r.Skipped {
-			t.Logf("mutation %q skipped", r.Class)
-			continue
-		}
-		if !r.Detected {
-			t.Errorf("mutation %q NOT detected", r.Class)
-			continue
-		}
-		detected++
-	}
-	if detected < 5 {
-		t.Errorf("only %d mutations detected; the self-test has lost coverage", detected)
-	}
-	// The class-swap mutation must apply on this genuinely heterogeneous
-	// machine: a skip here means the scaled-duration check went untested.
-	for _, r := range results {
-		if r.Class == "class-swap" && r.Skipped {
-			t.Error("class-swap mutation skipped on a heterogeneous platform")
 		}
 	}
 }

@@ -9,6 +9,13 @@
 // optimisation and this package agree, the agreement is evidence; if they
 // disagree, one of them is wrong and the Violation says where.
 //
+// There is one energy oracle, as there is one pricing rule in the paper:
+// Energy walks a schedule on a power.Platform — a homogeneous machine is
+// the one-class platform — with an optional backup plan whose reserved
+// slots are priced as idle. SelfTest and SelfTestFaults corrupt known-good
+// inputs on any platform and require the checkers to reject every
+// corruption.
+//
 // The package is imported by internal/core (Config.SelfCheck) and must
 // therefore not import it; cross-heuristic invariants are expressed over
 // the neutral Outcome type instead of core.Result.
@@ -21,6 +28,7 @@ import (
 	"strings"
 
 	"lamps/internal/dag"
+	"lamps/internal/power"
 	"lamps/internal/sched"
 )
 
@@ -239,6 +247,31 @@ func ScheduleWithin(g *dag.Graph, s *sched.Schedule, opt ScheduleOptions) error 
 			"makespan %d exceeds deadline %d cycles", s.Makespan, opt.DeadlineCycles)
 	}
 	return nil
+}
+
+// PlatformSchedule checks a heterogeneous-platform schedule against g from
+// first principles. The invariants are those of Schedule with one change:
+// a task's slot on processor p must last pf.ScaledWeight(class(p), weight)
+// timeline cycles — the class-stretched duration — instead of the raw
+// weight.
+func PlatformSchedule(g *dag.Graph, pf *power.Platform, s *sched.Schedule) error {
+	return PlatformScheduleWithin(g, pf, s, ScheduleOptions{})
+}
+
+// PlatformScheduleWithin is PlatformSchedule plus release-time and deadline
+// checks (deadline in timeline cycles).
+func PlatformScheduleWithin(g *dag.Graph, pf *power.Platform, s *sched.Schedule, opt ScheduleOptions) error {
+	if pf == nil {
+		return &Violation{Check: CheckShape, Detail: "nil platform"}
+	}
+	if s != nil && s.NumProcs > pf.NumProcs() {
+		return violationf(CheckShape, g, s, nil,
+			"schedule uses %d processors of a %d-processor platform", s.NumProcs, pf.NumProcs())
+	}
+	opt.expectDur = func(v, proc int) int64 {
+		return pf.ScaledWeight(pf.ClassOf(proc), g.Weight(v))
+	}
+	return ScheduleWithin(g, s, opt)
 }
 
 // checkDispatchLists cross-checks s.TasksOn against the independently

@@ -22,6 +22,17 @@ func schedule(t *testing.T, g *dag.Graph, nprocs int) *sched.Schedule {
 	return s
 }
 
+// oneClass returns the paper's identical-processor machine as a one-class
+// platform of n Default70nm processors.
+func oneClass(t testing.TB, n int) *power.Platform {
+	t.Helper()
+	pf, err := power.Homogeneous(n, power.Default70nm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pf
+}
+
 // member returns one suite graph, failing the test on error.
 func member(t *testing.T, size, i int, seed int64) *dag.Graph {
 	t.Helper()
@@ -118,55 +129,29 @@ func TestScheduleRejectsShapeErrors(t *testing.T) {
 	}
 }
 
-// TestEnergyParity: the naive linear walk must agree bit for bit with
-// energy.Evaluate — every Breakdown field including shutdown counts — on
-// random schedules, at every operating point, PS on and off, IgnoreIdle,
-// and deadlines from exact fit to 8x slack. This is the verifier's licence
-// to call any future mismatch a violation.
-func TestEnergyParity(t *testing.T) {
-	m := power.Default70nm()
-	for i := 0; i < 12; i++ {
-		g := member(t, 8+4*i, i, int64(3000+i))
-		for _, nprocs := range []int{1, 3, g.MaxWidth()} {
-			s := schedule(t, g, nprocs)
-			for _, lvl := range m.Levels() {
-				base := float64(s.Makespan) / lvl.Freq
-				for _, slack := range []float64{1, 1.0001, 2, 8} {
-					deadline := base * slack
-					for _, opts := range []energy.Options{{}, {PS: true}, {IgnoreIdle: true}} {
-						got, errGot := Energy(s, m, lvl, deadline, opts)
-						want, errWant := energy.Evaluate(s, m, lvl, deadline, opts)
-						if (errGot == nil) != (errWant == nil) {
-							t.Fatalf("graph %d procs %d lvl %d slack %g: err %v vs kernel %v",
-								i, nprocs, lvl.Index, slack, errGot, errWant)
-						}
-						if errGot != nil {
-							continue
-						}
-						if got != want {
-							t.Fatalf("graph %d procs %d lvl %d slack %g opts %+v:\n  verify %+v\n  kernel %+v",
-								i, nprocs, lvl.Index, slack, opts, got, want)
-						}
-						if err := EnergyMatches(s, m, lvl, deadline, opts, want); err != nil {
-							t.Fatalf("EnergyMatches rejects the kernel's own result: %v", err)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestEnergyRejectsMissedDeadline: a deadline below the makespan must be
-// rejected by the walk exactly as by the kernel, matching energy.ErrDeadline.
+// rejected by the walk exactly as by the kernel, matching energy.ErrDeadline;
+// with a backup plan, so must a deadline that covers the primary makespan
+// but not the recovery makespan.
 func TestEnergyRejectsMissedDeadline(t *testing.T) {
-	m := power.Default70nm()
 	g := member(t, 14, 2, 9)
 	s := schedule(t, g, 2)
-	lvl := m.Levels()[0]
-	_, err := Energy(s, m, lvl, float64(s.Makespan)/lvl.Freq*0.5, energy.Options{})
+	pf := oneClass(t, 2)
+	pt := pf.MaxPoint()
+	_, err := Energy(s, pf, nil, pt, float64(s.Makespan)/pt.TimelineFreq*0.5, energy.Options{})
 	if !errors.Is(err, energy.ErrDeadline) {
 		t.Fatalf("missed deadline: %v", err)
+	}
+	plan, err := sched.PlanBackups(s, nil, sched.BackupAnywhere)
+	if err != nil {
+		t.Fatal(err)
+	}
+	between := float64(s.Makespan+plan.RecoveryMakespan) / 2 / pt.TimelineFreq
+	if _, err := Energy(s, pf, nil, pt, between, energy.Options{}); err != nil {
+		t.Fatalf("deadline past the primary makespan rejected without a plan: %v", err)
+	}
+	if _, err := Energy(s, pf, plan, pt, between, energy.Options{}); !errors.Is(err, energy.ErrDeadline) {
+		t.Fatalf("deadline before the recovery makespan %d (primary %d): %v", plan.RecoveryMakespan, s.Makespan, err)
 	}
 }
 
@@ -240,34 +225,54 @@ func parallelGraph(t *testing.T) *dag.Graph {
 	return g
 }
 
-// TestSelfTestDetectsEveryClass: on a schedule where every corruption class
-// is applicable, every class must be detected, and each detection must be a
-// Violation.
+// TestSelfTestDetectsEveryClass: on schedules where every corruption class
+// is applicable — a fork-join graph on two identical processors, and a
+// platform-kernel schedule on the LP/HP machine, where the
+// heterogeneity-specific class-swap joins the list — every class must be
+// detected, and each detection must be a Violation.
 func TestSelfTestDetectsEveryClass(t *testing.T) {
+	type input struct {
+		name    string
+		g       *dag.Graph
+		s       *sched.Schedule
+		pf      *power.Platform
+		pt      power.OperatingPoint
+		classes int
+	}
 	g := parallelGraph(t)
-	s := schedule(t, g, 2)
-	m := power.Default70nm()
-	lvl := m.CriticalLevel()
-	deadline := float64(s.Makespan) / lvl.Freq * 2
-	for _, opts := range []energy.Options{{}, {PS: true}} {
-		results, err := SelfTest(g, s, m, lvl, deadline, opts)
-		if err != nil {
-			t.Fatalf("PS=%v: %v", opts.PS, err)
-		}
-		if len(results) < 8 {
-			t.Fatalf("only %d mutation classes", len(results))
-		}
-		for _, r := range results {
-			if r.Skipped {
-				t.Errorf("PS=%v: class %q not applicable on a fork-join two-processor schedule", opts.PS, r.Class)
-				continue
+	one := oneClass(t, 2)
+	hetero := heteroPlatform(t)
+	hg := member(t, 40, 0, 5)
+	hs, err := sched.ListSchedulePlatform(hg, hetero, hetero.NumProcs(), sched.EDFPriorities(hg, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []input{
+		{"one-class fork-join", g, schedule(t, g, 2), one, one.Points()[power.Default70nm().CriticalLevel().Index], 10},
+		{"lp/hp", hg, hs, hetero, hetero.MaxPoint(), 11},
+	}
+	for _, in := range inputs {
+		deadline := float64(in.s.Makespan) / in.pt.TimelineFreq * 2
+		for _, opts := range []energy.Options{{}, {PS: true}} {
+			results, err := SelfTest(in.g, in.s, in.pf, in.pt, deadline, opts)
+			if err != nil {
+				t.Fatalf("%s PS=%v: %v", in.name, opts.PS, err)
 			}
-			if !r.Detected {
-				t.Errorf("PS=%v: corruption %q went undetected", opts.PS, r.Class)
-				continue
+			if len(results) != in.classes {
+				t.Fatalf("%s: %d mutation classes, want %d", in.name, len(results), in.classes)
 			}
-			if !errors.Is(r.Err, ErrViolation) {
-				t.Errorf("PS=%v: class %q detected with a non-Violation error: %v", opts.PS, r.Class, r.Err)
+			for _, r := range results {
+				if r.Skipped {
+					t.Errorf("%s PS=%v: class %q not applicable", in.name, opts.PS, r.Class)
+					continue
+				}
+				if !r.Detected {
+					t.Errorf("%s PS=%v: corruption %q went undetected", in.name, opts.PS, r.Class)
+					continue
+				}
+				if !errors.Is(r.Err, ErrViolation) {
+					t.Errorf("%s PS=%v: class %q detected with a non-Violation error: %v", in.name, opts.PS, r.Class, r.Err)
+				}
 			}
 		}
 	}
@@ -280,9 +285,9 @@ func TestSelfTestRejectsBadBaseline(t *testing.T) {
 	s := schedule(t, g, 2)
 	c := cloneSchedule(s)
 	c.Start[0]++
-	m := power.Default70nm()
-	lvl := m.CriticalLevel()
-	if _, err := SelfTest(g, c, m, lvl, float64(s.Makespan)/lvl.Freq*2, energy.Options{}); !errors.Is(err, ErrViolation) {
+	pf := oneClass(t, 2)
+	pt := pf.MaxPoint()
+	if _, err := SelfTest(g, c, pf, pt, float64(s.Makespan)/pt.TimelineFreq*2, energy.Options{}); !errors.Is(err, ErrViolation) {
 		t.Fatalf("corrupt baseline: %v", err)
 	}
 }
