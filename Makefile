@@ -124,7 +124,7 @@ alloc-gate:
 hetero-gate:
 	$(GO) test -race -run 'TestScheduleIntoPlatformHomogeneousParity|FuzzScheduleIntoMatchesReference|TestEvaluatePointHomogeneousParity|TestMinFeasiblePointHomogeneousParity' -count=1 -v ./internal/sched ./internal/energy
 	$(GO) test -race -run 'TestHomogeneousPlatformParity|TestHomogeneousGolden|TestHeterogeneous|TestHetero' -count=1 -v ./internal/core
-	$(GO) test -race -run 'TestPlatformEnergyParity|TestSelfTestDetectsEveryClass' -count=1 -v ./internal/verify
+	$(GO) test -race -run 'TestEnergyParity|TestPlatformEnergyParity|TestSelfTestDetectsEveryClass|TestSelfTestPlatformDetectsEveryClass' -count=1 -v ./internal/verify
 	$(GO) test -race -run 'TestPlatform' -count=1 -v ./internal/graphhash
 	$(GO) test -race -run 'TestSchedulePlatform|FuzzScheduleHandler' -count=1 -v ./internal/server
 

@@ -90,41 +90,24 @@ func TestPlatformScheduleRejectsScaledDurationMismatch(t *testing.T) {
 	t.Fatal("no task landed on a scaled class; platform too small for the test")
 }
 
-// TestPlatformEnergyParity: the verifier's independent per-gap walk and the
-// profile's bucketed evaluation must agree bit for bit — every Breakdown
-// field, shutdown counts included — at every operating point, PS on and
-// off, IgnoreIdle, and deadlines from exact fit to 8x slack, on two inputs:
-// the paper's identical-processor machine as a one-class platform (list
-// schedules on 1, 3 and max-width processors) and the LP/HP platform
-// (platform-kernel schedules). This is the verifier's licence to call any
-// future mismatch a violation, and the cross-implementation contract
-// SelfCheck relies on.
-func TestPlatformEnergyParity(t *testing.T) {
-	type input struct {
-		name   string
-		pf     *power.Platform
-		s      *sched.Schedule
-		slacks []float64
-	}
-	var inputs []input
-	for i := 0; i < 12; i++ {
-		g := member(t, 8+4*i, i, int64(3000+i))
-		for _, nprocs := range []int{1, 3, g.MaxWidth()} {
-			inputs = append(inputs, input{fmt.Sprintf("one-class graph %d procs %d", i, nprocs),
-				oneClass(t, nprocs), schedule(t, g, nprocs), []float64{1, 1.0001, 2, 8}})
-		}
-	}
-	pf := heteroPlatform(t)
-	rng := rand.New(rand.NewSource(20260809))
-	for iter := 0; iter < 20; iter++ {
-		g := member(t, 2+rng.Intn(40), rng.Intn(4), rng.Int63())
-		s, err := sched.ListSchedulePlatform(g, pf, pf.NumProcs(), sched.EDFPriorities(g, 0), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs = append(inputs, input{fmt.Sprintf("lp/hp iter %d", iter), pf, s, []float64{1, 1.7, 6}})
-	}
+// parityInput is one schedule on one platform with the deadline slacks the
+// energy parity tests sweep.
+type parityInput struct {
+	name   string
+	pf     *power.Platform
+	s      *sched.Schedule
+	slacks []float64
+}
 
+// checkEnergyParity requires the verifier's independent per-gap walk and the
+// profile's bucketed evaluation to agree bit for bit — every Breakdown
+// field, shutdown counts included — at every operating point, PS on and off,
+// and IgnoreIdle. A non-nil kernel is a further reference that must agree
+// too. This is the verifier's licence to call any future mismatch a
+// violation, and the cross-implementation contract SelfCheck relies on.
+func checkEnergyParity(t *testing.T, inputs []parityInput,
+	kernel func(s *sched.Schedule, pt power.OperatingPoint, deadline float64, opts energy.Options) (energy.Breakdown, error)) {
+	t.Helper()
 	var p energy.GapProfile
 	for _, in := range inputs {
 		p.ResetPlatform(in.s, in.pf)
@@ -137,6 +120,16 @@ func TestPlatformEnergyParity(t *testing.T) {
 					want, errWant := Energy(in.s, in.pf, nil, pt, deadline, opts)
 					if (errGot == nil) != (errWant == nil) {
 						t.Fatalf("%s pt %d: err %v vs verifier %v", in.name, pt.Index, errGot, errWant)
+					}
+					if kernel != nil {
+						ref, errRef := kernel(in.s, pt, deadline, opts)
+						if (errRef == nil) != (errWant == nil) {
+							t.Fatalf("%s pt %d: kernel err %v vs verifier %v", in.name, pt.Index, errRef, errWant)
+						}
+						if errRef == nil && ref != want {
+							t.Fatalf("%s pt %d slack %g opts %+v:\n  kernel   %+v\n  verifier %+v",
+								in.name, pt.Index, slack, opts, ref, want)
+						}
 					}
 					if errGot != nil {
 						continue
@@ -152,4 +145,41 @@ func TestPlatformEnergyParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEnergyParity: on the paper's identical-processor machine as a
+// one-class platform — list schedules on 1, 3 and max-width processors,
+// deadlines from exact fit to 8x slack — the verifier's walk must agree bit
+// for bit with the platform profile and with energy.Evaluate, the
+// homogeneous kernel.
+func TestEnergyParity(t *testing.T) {
+	m := power.Default70nm()
+	var inputs []parityInput
+	for i := 0; i < 12; i++ {
+		g := member(t, 8+4*i, i, int64(3000+i))
+		for _, nprocs := range []int{1, 3, g.MaxWidth()} {
+			inputs = append(inputs, parityInput{fmt.Sprintf("one-class graph %d procs %d", i, nprocs),
+				oneClass(t, nprocs), schedule(t, g, nprocs), []float64{1, 1.0001, 2, 8}})
+		}
+	}
+	checkEnergyParity(t, inputs, func(s *sched.Schedule, pt power.OperatingPoint, deadline float64, opts energy.Options) (energy.Breakdown, error) {
+		return energy.Evaluate(s, m, pt.Levels[0], deadline, opts)
+	})
+}
+
+// TestPlatformEnergyParity: on the LP/HP platform, the verifier's walk and
+// the profile must agree bit for bit on platform-kernel schedules.
+func TestPlatformEnergyParity(t *testing.T) {
+	pf := heteroPlatform(t)
+	rng := rand.New(rand.NewSource(20260809))
+	var inputs []parityInput
+	for iter := 0; iter < 20; iter++ {
+		g := member(t, 2+rng.Intn(40), rng.Intn(4), rng.Int63())
+		s, err := sched.ListSchedulePlatform(g, pf, pf.NumProcs(), sched.EDFPriorities(g, 0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, parityInput{fmt.Sprintf("lp/hp iter %d", iter), pf, s, []float64{1, 1.7, 6}})
+	}
+	checkEnergyParity(t, inputs, nil)
 }

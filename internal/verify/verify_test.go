@@ -225,57 +225,57 @@ func parallelGraph(t *testing.T) *dag.Graph {
 	return g
 }
 
-// TestSelfTestDetectsEveryClass: on schedules where every corruption class
-// is applicable — a fork-join graph on two identical processors, and a
-// platform-kernel schedule on the LP/HP machine, where the
-// heterogeneity-specific class-swap joins the list — every class must be
-// detected, and each detection must be a Violation.
-func TestSelfTestDetectsEveryClass(t *testing.T) {
-	type input struct {
-		name    string
-		g       *dag.Graph
-		s       *sched.Schedule
-		pf      *power.Platform
-		pt      power.OperatingPoint
-		classes int
-	}
-	g := parallelGraph(t)
-	one := oneClass(t, 2)
-	hetero := heteroPlatform(t)
-	hg := member(t, 40, 0, 5)
-	hs, err := sched.ListSchedulePlatform(hg, hetero, hetero.NumProcs(), sched.EDFPriorities(hg, 0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := []input{
-		{"one-class fork-join", g, schedule(t, g, 2), one, one.Points()[power.Default70nm().CriticalLevel().Index], 10},
-		{"lp/hp", hg, hs, hetero, hetero.MaxPoint(), 11},
-	}
-	for _, in := range inputs {
-		deadline := float64(in.s.Makespan) / in.pt.TimelineFreq * 2
-		for _, opts := range []energy.Options{{}, {PS: true}} {
-			results, err := SelfTest(in.g, in.s, in.pf, in.pt, deadline, opts)
-			if err != nil {
-				t.Fatalf("%s PS=%v: %v", in.name, opts.PS, err)
+// checkSelfTestDetects requires every one of classes corruption classes to
+// apply to s and be detected, PS on and off, each detection a Violation.
+func checkSelfTestDetects(t *testing.T, name string, g *dag.Graph, s *sched.Schedule,
+	pf *power.Platform, pt power.OperatingPoint, classes int) {
+	t.Helper()
+	deadline := float64(s.Makespan) / pt.TimelineFreq * 2
+	for _, opts := range []energy.Options{{}, {PS: true}} {
+		results, err := SelfTest(g, s, pf, pt, deadline, opts)
+		if err != nil {
+			t.Fatalf("%s PS=%v: %v", name, opts.PS, err)
+		}
+		if len(results) != classes {
+			t.Fatalf("%s: %d mutation classes, want %d", name, len(results), classes)
+		}
+		for _, r := range results {
+			if r.Skipped {
+				t.Errorf("%s PS=%v: class %q not applicable", name, opts.PS, r.Class)
+				continue
 			}
-			if len(results) != in.classes {
-				t.Fatalf("%s: %d mutation classes, want %d", in.name, len(results), in.classes)
+			if !r.Detected {
+				t.Errorf("%s PS=%v: corruption %q went undetected", name, opts.PS, r.Class)
+				continue
 			}
-			for _, r := range results {
-				if r.Skipped {
-					t.Errorf("%s PS=%v: class %q not applicable", in.name, opts.PS, r.Class)
-					continue
-				}
-				if !r.Detected {
-					t.Errorf("%s PS=%v: corruption %q went undetected", in.name, opts.PS, r.Class)
-					continue
-				}
-				if !errors.Is(r.Err, ErrViolation) {
-					t.Errorf("%s PS=%v: class %q detected with a non-Violation error: %v", in.name, opts.PS, r.Class, r.Err)
-				}
+			if !errors.Is(r.Err, ErrViolation) {
+				t.Errorf("%s PS=%v: class %q detected with a non-Violation error: %v", name, opts.PS, r.Class, r.Err)
 			}
 		}
 	}
+}
+
+// TestSelfTestDetectsEveryClass: on a fork-join graph on two identical
+// processors, where every class is applicable, every class must be detected.
+func TestSelfTestDetectsEveryClass(t *testing.T) {
+	g := parallelGraph(t)
+	one := oneClass(t, 2)
+	checkSelfTestDetects(t, "one-class fork-join", g, schedule(t, g, 2), one,
+		one.Points()[power.Default70nm().CriticalLevel().Index], 10)
+}
+
+// TestSelfTestPlatformDetectsEveryClass: on a platform-kernel schedule on
+// the LP/HP machine every class must apply and be detected, including the
+// heterogeneity-specific class-swap, whose skip would leave the
+// scaled-duration check untested.
+func TestSelfTestPlatformDetectsEveryClass(t *testing.T) {
+	pf := heteroPlatform(t)
+	g := member(t, 40, 0, 5)
+	s, err := sched.ListSchedulePlatform(g, pf, pf.NumProcs(), sched.EDFPriorities(g, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSelfTestDetects(t, "lp/hp", g, s, pf, pf.MaxPoint(), 11)
 }
 
 // TestSelfTestRejectsBadBaseline: handing the self-test an already corrupt
