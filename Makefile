@@ -95,7 +95,9 @@ bench:
 # allocate at all once their buffers are warm; a warm RunBatch request must
 # stay within its 8-alloc arena-backed per-request budget, and a warm K=1
 # request within its own budget (the plain tail plus the backup plans it
-# returns); and a warm /v1/schedule cache hit must stay within its
+# returns); a warm request served from the schedule memo must allocate
+# exactly the plain tail — the key digest and restores add nothing; and a
+# warm /v1/schedule cache hit must stay within its
 # handler-layer bound (decode + graph build + digest only — never a
 # re-render), the same small constant for a 4-task and a 1000-task graph,
 # so nothing on the front door allocates per task or per edge. These budgets are the strict (non--race) ones; the same tests
@@ -104,7 +106,7 @@ bench:
 alloc-gate:
 	$(GO) test -run 'TestScheduleIntoSteadyStateZeroAlloc' -count=1 -v ./internal/sched
 	$(GO) test -run 'TestGapProfileEvaluateZeroAlloc|TestResetFTSteadyStateZeroAlloc' -count=1 -v ./internal/energy
-	$(GO) test -run 'TestRunBatchSteadyStateZeroAlloc|TestRunBatchFaultsSteadyStateAllocBound' -count=1 -v ./internal/core
+	$(GO) test -run 'TestRunBatchSteadyStateZeroAlloc|TestRunBatchMemoWarmHitAllocs|TestRunBatchFaultsSteadyStateAllocBound' -count=1 -v ./internal/core
 	$(GO) test -run 'TestScheduleWarmCacheHitAllocBound' -count=1 -v ./internal/server
 
 # The heterogeneous-platform gate. The parity half is the

@@ -392,11 +392,102 @@ func kernelBenchmarks(gs []*dag.Graph) ([]kernelReport, error) {
 	})
 	out = append(out, row)
 
+	memoRows, err := memoBenchmarks(g, m, measure)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, memoRows...)
+
 	front, err := frontDoorBenchmarks(g, m, measure)
 	if err != nil {
 		return nil, err
 	}
 	return append(out, front...), benchErr
+}
+
+// memoBenchmarks measures one serial LAMPS run on the 1000-task graph
+// three ways: without a schedule memo, with a shared memo that misses on
+// every op, and with a warm memo that restores every schedule. The plain
+// and cold rows run a content-unique copy of the graph per op (one task's
+// weight moved by the op number, built with the timer stopped), so the
+// cold row pays the memo's whole miss path — key digest, lookups, packing
+// and inserts with LRU eviction — and the gap to the plain row is the miss
+// overhead. All three rows count allocs/op with steadyAllocs, like the
+// RunBatch row; the warm row's must not exceed that row's per-request
+// tail.
+func memoBenchmarks(g *dag.Graph, m *power.Model, measure func(string, func(*testing.B)) kernelReport) ([]kernelReport, error) {
+	var benchErr error
+	var variant int64
+	unique := func() *dag.Graph {
+		variant++
+		out, err := rebuild(g, variant)
+		if err != nil {
+			benchErr = err
+		}
+		return out
+	}
+	runOn := func(eng *core.Engine, g *dag.Graph) {
+		eng.Config = core.DeadlineFactor(g, m, 2)
+		if _, err := eng.Run(context.Background(), core.ApproachLAMPS, g); err != nil {
+			benchErr = err
+		}
+	}
+	perOp := func(memo *core.ScheduleMemo) func(b *testing.B) {
+		return func(b *testing.B) {
+			eng := core.Engine{Memo: memo}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				gi := unique()
+				b.StartTimer()
+				runOn(&eng, gi)
+			}
+		}
+	}
+	warm := core.Engine{Memo: core.NewScheduleMemo()}
+	runOn(&warm, g)
+	warmOp := func() { runOn(&warm, g) }
+	rows := []kernelReport{
+		measure("engine_lamps_layered1000", perOp(nil)),
+		measure("engine_lamps_layered1000_memo_cold", perOp(core.NewScheduleMemo())),
+		measure("engine_lamps_layered1000_memo_warm", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				warmOp()
+			}
+		}),
+	}
+	// The counted allocs of the plain and cold rows run on g itself, the
+	// cold one with a fresh memo per call, so every lookup still misses
+	// while the arenas see the same graph each time and the count repeats
+	// exactly.
+	plain := core.Engine{}
+	rows[0].AllocsPerOp, rows[0].BytesPerOp = steadyAllocs(200, func() { runOn(&plain, g) })
+	cold := core.Engine{}
+	rows[1].AllocsPerOp, rows[1].BytesPerOp = steadyAllocs(40, func() {
+		cold.Memo = core.NewScheduleMemo()
+		runOn(&cold, g)
+	})
+	rows[2].AllocsPerOp, rows[2].BytesPerOp = steadyAllocs(200, warmOp)
+	return rows, benchErr
+}
+
+// rebuild builds g again from its weights and edges through dag.Builder,
+// the way a request is built, with task 0's weight raised by bump.
+func rebuild(g *dag.Graph, bump int64) (*dag.Graph, error) {
+	b := dag.NewBuilder(g.Name())
+	b.Grow(g.NumTasks(), g.NumEdges())
+	for v := 0; v < g.NumTasks(); v++ {
+		w := g.Weight(v)
+		if v == 0 {
+			w += bump
+		}
+		b.AddTask(w)
+	}
+	for v := 0; v < g.NumTasks(); v++ {
+		for _, s := range g.Succs(v) {
+			b.AddEdge(v, int(s))
+		}
+	}
+	return b.Build()
 }
 
 // frontDoorBenchmarks measures what a /v1/schedule request costs before
@@ -409,17 +500,7 @@ func kernelBenchmarks(gs []*dag.Graph) ([]kernelReport, error) {
 func frontDoorBenchmarks(g *dag.Graph, m *power.Model, measure func(string, func(*testing.B)) kernelReport) ([]kernelReport, error) {
 	var benchErr error
 	build := func() *dag.Graph {
-		b := dag.NewBuilder(g.Name())
-		b.Grow(g.NumTasks(), g.NumEdges())
-		for v := 0; v < g.NumTasks(); v++ {
-			b.AddTask(g.Weight(v))
-		}
-		for v := 0; v < g.NumTasks(); v++ {
-			for _, s := range g.Succs(v) {
-				b.AddEdge(v, int(s))
-			}
-		}
-		out, err := b.Build()
+		out, err := rebuild(g, 0)
 		if err != nil {
 			benchErr = err
 		}

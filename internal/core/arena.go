@@ -9,9 +9,9 @@ import (
 )
 
 // arena is the per-request scratch of one engine invocation: the run state,
-// the memoising scheduler, the candidate and sweep-pair slices, the EDF
-// priority buffer, a free list of recycled Schedule shells and the
-// one-class platform a homogeneous run evaluates on. A request
+// the memoising scheduler (with its EDF priority and memo key scratch), the
+// candidate and sweep-pair slices, a free list of recycled Schedule shells
+// and the one-class platform a homogeneous run evaluates on. A request
 // borrows one arena from arenaPool for its whole lifetime and returns it on
 // normal completion (success or error), so a warm steady stream of requests
 // — RunBatch's worker loop above all — reuses the same handful of buffers
@@ -30,7 +30,6 @@ type arena struct {
 
 	cands []candidate // phase-2 candidate set, value slice
 	pairs []evalPair  // flattened (candidate, operating point) sweep pairs
-	prio  []int64     // EDF priority scratch for engines without a warm memo
 
 	// homo is the one-class platform of model homoModel that homogeneous
 	// runs evaluate on. Platforms are immutable and never escape into a
@@ -75,6 +74,7 @@ func (a *arena) close() {
 	a.sc.prio = nil
 	a.sc.obs = nil
 	a.sc.pf = nil
+	a.sc.memo = nil
 	a.sc.built = 0
 
 	clear(a.cands)

@@ -66,10 +66,10 @@ type BatchResult struct {
 //     per-request allocation budget (see TestRunBatchSteadyStateZeroAlloc)
 //     instead of re-allocating scratch per request.
 //
-// A nil e.Pool runs the batch serially in request order. The engine's own
-// Config and Observer are not used: each request carries its Config, and
-// per-request observation would interleave nondeterministically across a
-// parallel batch.
+// A nil e.Pool runs the batch serially in request order. Every request
+// shares e.Memo. The engine's own Config and Observer are not used: each
+// request carries its Config, and per-request observation would interleave
+// nondeterministically across a parallel batch.
 func (e *Engine) RunBatch(ctx context.Context, reqs []BatchRequest) []BatchResult {
 	if len(reqs) == 0 {
 		return nil
@@ -81,7 +81,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []BatchRequest) []BatchResul
 				out[i] = BatchResult{Err: err}
 				continue
 			}
-			out[i] = runOne(ctx, &reqs[i])
+			out[i] = runOne(ctx, &reqs[i], e.Memo)
 		}
 		return out
 	}
@@ -90,7 +90,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []BatchRequest) []BatchResul
 	for i := range reqs {
 		go func(i int) {
 			defer wg.Done()
-			if err := e.Pool.Do(ctx, func() { out[i] = runOne(ctx, &reqs[i]) }); err != nil {
+			if err := e.Pool.Do(ctx, func() { out[i] = runOne(ctx, &reqs[i], e.Memo) }); err != nil {
 				// Admission denied: the batch context expired while this
 				// request queued for a slot. It never ran, which is exactly
 				// what a serial loop reaching it after cancellation would do.
@@ -107,7 +107,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []BatchRequest) []BatchResul
 // serial inner search — while the heavy scratch (scheduling kernels, gap
 // profiles) still comes from the shared sync.Pools, so the per-request
 // engine value is the only per-request control allocation.
-func runOne(ctx context.Context, req *BatchRequest) (br BatchResult) {
+func runOne(ctx context.Context, req *BatchRequest, memo *ScheduleMemo) (br BatchResult) {
 	start := time.Now()
 	defer func() {
 		br.Elapsed = time.Since(start)
@@ -115,7 +115,7 @@ func runOne(ctx context.Context, req *BatchRequest) (br BatchResult) {
 			br.Result, br.Err = nil, fmt.Errorf("%w: %v", ErrBatchPanic, p)
 		}
 	}()
-	eng := Engine{Config: req.Config}
+	eng := Engine{Config: req.Config, Memo: memo}
 	br.Result, br.Err = eng.Run(ctx, req.Approach, req.Graph)
 	return br
 }

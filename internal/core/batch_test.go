@@ -290,6 +290,53 @@ func TestRunBatchSteadyStateZeroAlloc(t *testing.T) {
 	t.Logf("batch steady state: %.1f allocs/request", perRequest)
 }
 
+// TestRunBatchMemoWarmHitAllocs is the schedule-memo half of the CI alloc
+// gate: a warm request whose every schedule is restored from a shared
+// memo — key digest, lookups and restores into recycled shells — must
+// allocate exactly what a warm request without a memo does: the Result
+// tail of TestRunBatchSteadyStateZeroAlloc (6.5 allocs per request, 13 per
+// LAMPS + LAMPS+PS pair). The count is pinned exactly, so a key or
+// restore that starts allocating fails it.
+func TestRunBatchMemoWarmHitAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate skipped in -short mode")
+	}
+	m := power.Default70nm()
+	g := buildFig4a(t, coarseWeight)
+	reqs := []BatchRequest{
+		{Approach: ApproachLAMPS, Graph: g, Config: DeadlineFactor(g, m, 2)},
+		{Approach: ApproachLAMPSPS, Graph: g, Config: DeadlineFactor(g, m, 2)},
+	}
+	memo := NewScheduleMemo()
+	eng := Engine{Memo: memo} // serial, like TestRunBatchSteadyStateZeroAlloc
+	ctx := context.Background()
+	run := func() {
+		for _, br := range eng.RunBatch(ctx, reqs) {
+			if br.Err != nil {
+				t.Fatal(br.Err)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	before := memo.Stats()
+	const rounds = 50
+	perRequest := testing.AllocsPerRun(rounds, run) / float64(len(reqs))
+	if st := memo.Stats(); st.Misses != before.Misses || st.Hits == before.Hits {
+		t.Fatalf("warm requests were not served from the memo: %+v then %+v", before, st)
+	}
+	const want = 6.5
+	if raceEnabled {
+		if perRequest > 60 {
+			t.Errorf("memo-hit request allocates %.1f allocs/request under -race, want <= 60", perRequest)
+		}
+	} else if perRequest != want {
+		t.Errorf("memo-hit request allocates %.1f allocs/request, want exactly %g", perRequest, want)
+	}
+	t.Logf("memo-hit steady state: %.1f allocs/request", perRequest)
+}
+
 // TestRunBatchFaultsSteadyStateAllocBound is the K=1 counterpart of
 // TestRunBatchSteadyStateZeroAlloc, homogeneous and on a heterogeneous
 // platform: on top of the plain per-request tail, a fault-tolerant request

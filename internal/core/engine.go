@@ -25,9 +25,10 @@ type Observer interface {
 	// OnPhase marks the transition into a named phase of the search (see the
 	// Phase* constants).
 	OnPhase(name string)
-	// OnScheduleBuilt reports one fresh list-scheduling invocation: the
-	// processor count and the resulting makespan in cycles at maximum
-	// frequency. Memoised re-uses are not reported.
+	// OnScheduleBuilt reports one distinct processor count a run uses: the
+	// count and the resulting makespan in cycles at maximum frequency. A
+	// schedule restored from Engine.Memo counts like a fresh build; a
+	// run's repeated use of the same count is reported once.
 	OnScheduleBuilt(nprocs int, makespanCycles int64)
 	// OnLevelEvaluated reports one successful (schedule, level) energy
 	// evaluation.
@@ -75,50 +76,12 @@ type Engine struct {
 	// deadlock at any pool size.
 	Pool *workpool.Pool
 
-	// Engine-level priority memo: EDF priorities depend only on the graph,
-	// never on the deadline or the processor count, so repeated Run calls on
-	// the same graph (a sweep evaluating many deadlines, the grid endpoint)
-	// reuse one computation. Guarded by prioMu; see priorities.
-	prioMu    sync.Mutex
-	prioGraph *dag.Graph
-	prioVals  []int64
-}
-
-// priorities returns the list-scheduling priorities for g, memoised per
-// graph for the default EDF policy. A custom Config.Priorities function is
-// never memoised — closures may carry state the engine cannot compare — so
-// ablation policies keep their exact per-run semantics.
-func (e *Engine) priorities(g *dag.Graph) []int64 {
-	if e.Config.Priorities != nil {
-		return e.Config.Priorities(g)
-	}
-	e.prioMu.Lock()
-	defer e.prioMu.Unlock()
-	if e.prioGraph != g {
-		e.prioGraph = g
-		e.prioVals = sched.EDFPriorities(g, 0)
-	}
-	return e.prioVals
-}
-
-// runPriorities is the run-internal variant of priorities: a warm memo hit
-// is returned as-is, but a miss computes into the arena's scratch buffer
-// instead of populating the memo — RunBatch's throwaway sub-engines never
-// see the same graph twice, so memoising there would only allocate. The
-// public priorities path (and its memo semantics) is untouched.
-func (e *Engine) runPriorities(a *arena, g *dag.Graph) []int64 {
-	if e.Config.Priorities != nil {
-		return e.Config.Priorities(g)
-	}
-	e.prioMu.Lock()
-	if e.prioGraph == g {
-		p := e.prioVals
-		e.prioMu.Unlock()
-		return p
-	}
-	e.prioMu.Unlock()
-	a.prio = sched.EDFPrioritiesInto(a.prio, g, 0)
-	return a.prio
+	// Memo, when non-nil, is a cross-request store of list schedules: a
+	// run restores every processor count the memo holds instead of
+	// list-scheduling it, and stores the counts it builds. Results, Stats
+	// and Observer callbacks are identical with and without it. Like Pool,
+	// one memo is meant to be shared by many engines and concurrent runs.
+	Memo *ScheduleMemo
 }
 
 // Run dispatches an approach by name under ctx.
@@ -220,7 +183,11 @@ func (e *Engine) newRun(ctx context.Context, g *dag.Graph) (*run, error) {
 	}
 	r.fref = r.pf.RefFMax()
 	r.obs.o = e.Observer
-	a.sc.init(ctx, g, e.runPriorities(a, g), &r.obs, e.Config.SelfCheck, r.pf)
+	var prio []int64
+	if e.Config.Priorities != nil {
+		prio = e.Config.Priorities(g)
+	}
+	a.sc.init(ctx, g, prio, &r.obs, e.Config.SelfCheck, r.pf, e.Memo)
 	r.sc = &a.sc
 	return r, nil
 }

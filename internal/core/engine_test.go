@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"lamps/internal/dag"
 	"lamps/internal/energy"
 	"lamps/internal/power"
 	"lamps/internal/workpool"
@@ -43,73 +42,40 @@ func renderForDiff(t *testing.T, r *Result) []byte {
 // TestEngineDeterminismGate is the serial-vs-parallel contract: for every
 // approach, a parallel engine must return byte-identical results — energy,
 // level, processor count, schedule and Stats — to the serial one, on a
-// spread of seeded random graphs.
+// spread of seeded random graphs. A parallel engine sharing one schedule
+// memo across all the runs (warm from the second approach on) is held to
+// the same contract.
 func TestEngineDeterminismGate(t *testing.T) {
 	m := power.Default70nm()
 	pool := workpool.NewPool(8)
+	memo := NewScheduleMemo()
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 40+int(seed)*15, 0.06, coarseWeight)
 		cfg := DeadlineFactor(g, m, 1.0+float64(seed))
 		for _, approach := range Approaches {
 			serialEng := Engine{Config: cfg}
-			parallelEng := Engine{Config: cfg, Pool: pool}
 			sr, serr := serialEng.Run(context.Background(), approach, g)
-			pr, perr := parallelEng.Run(context.Background(), approach, g)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("seed %d %s: serial err %v, parallel err %v", seed, approach, serr, perr)
-			}
-			if serr != nil {
-				continue
-			}
-			if !bytes.Equal(renderForDiff(t, sr), renderForDiff(t, pr)) {
-				t.Errorf("seed %d %s: parallel result differs from serial\nserial:   %s\nparallel: %s",
-					seed, approach, renderForDiff(t, sr), renderForDiff(t, pr))
+			for _, eng := range []Engine{{Config: cfg, Pool: pool}, {Config: cfg, Pool: pool, Memo: memo}} {
+				pr, perr := eng.Run(context.Background(), approach, g)
+				if (serr == nil) != (perr == nil) {
+					t.Fatalf("seed %d %s memo=%t: serial err %v, parallel err %v", seed, approach, eng.Memo != nil, serr, perr)
+				}
+				if serr != nil {
+					continue
+				}
+				if !bytes.Equal(renderForDiff(t, sr), renderForDiff(t, pr)) {
+					t.Errorf("seed %d %s memo=%t: parallel result differs from serial\nserial:   %s\nparallel: %s",
+						seed, approach, eng.Memo != nil, renderForDiff(t, sr), renderForDiff(t, pr))
+				}
 			}
 		}
 	}
+	if st := memo.Stats(); st.Hits == 0 {
+		t.Errorf("shared memo never hit across approaches: %+v", st)
+	}
 	if got := pool.InFlight(); got != 0 {
 		t.Errorf("pool still holds %d slots after all runs returned", got)
-	}
-}
-
-// TestEnginePriorityMemo: EDF priorities are computed once per graph and
-// reused across runs of the same engine, invalidated when the graph changes,
-// and never memoised for custom priority policies (closures cannot be
-// compared, so each run must call the override afresh).
-func TestEnginePriorityMemo(t *testing.T) {
-	m := power.Default70nm()
-	rng := rand.New(rand.NewSource(17))
-	g1 := randomGraph(rng, 40, 0.08, coarseWeight)
-	g2 := randomGraph(rng, 40, 0.08, coarseWeight)
-
-	eng := Engine{Config: DeadlineFactor(g1, m, 4)}
-	p1 := eng.priorities(g1)
-	p2 := eng.priorities(g1)
-	if len(p1) == 0 || &p1[0] != &p2[0] {
-		t.Fatalf("EDF priorities recomputed for the same graph")
-	}
-	if _, err := eng.Run(context.Background(), ApproachSS, g1); err != nil {
-		t.Fatal(err)
-	}
-	if p3 := eng.priorities(g1); &p3[0] != &p1[0] {
-		t.Fatalf("memo lost across a Run on the same graph")
-	}
-	q := eng.priorities(g2)
-	if &q[0] == &p1[0] {
-		t.Fatalf("memo not invalidated when the graph changed")
-	}
-
-	calls := 0
-	custom := Engine{Config: DeadlineFactor(g1, m, 4)}
-	custom.Config.Priorities = func(gr *dag.Graph) []int64 {
-		calls++
-		return make([]int64, gr.NumTasks())
-	}
-	custom.priorities(g1)
-	custom.priorities(g1)
-	if calls != 2 {
-		t.Fatalf("custom priority policy called %d times, want 2 (never memoised)", calls)
 	}
 }
 

@@ -111,8 +111,9 @@ func errorClass(err error) string {
 	return "err=" + strings.Join(cls, "+")
 }
 
-// goldenLines runs the homogeneous corpus and renders one line per case.
-func goldenLines(t *testing.T) map[string]string {
+// goldenLines runs the homogeneous corpus and renders one line per case;
+// every engine shares memo (nil for none).
+func goldenLines(t *testing.T, memo *ScheduleMemo) map[string]string {
 	t.Helper()
 	m := power.Default70nm()
 	ctx := context.Background()
@@ -143,7 +144,7 @@ func goldenLines(t *testing.T) map[string]string {
 					for _, fc := range cases {
 						cfg := base
 						cfg.Faults = fc.faults
-						res, err := (&Engine{Config: cfg}).Run(ctx, approach, g)
+						res, err := (&Engine{Config: cfg, Memo: memo}).Run(ctx, approach, g)
 						key := fmt.Sprintf("%s/%s/%s", prefix, approach, fc.name)
 						if err != nil {
 							out[key] = errorClass(err)
@@ -162,7 +163,7 @@ func goldenLines(t *testing.T) map[string]string {
 					}
 				}
 				for _, ps := range []bool{false, true} {
-					eng := &Engine{Config: base}
+					eng := &Engine{Config: base, Memo: memo}
 					key := fmt.Sprintf("%s/%s/ps=%t", prefix, ApproachPerTask, ps)
 					if res, err := eng.PerTask(ctx, g, ps); err != nil {
 						out[key] = errorClass(err)
@@ -202,13 +203,25 @@ func goldenLines(t *testing.T) map[string]string {
 // for bit: energy breakdown fields as float64 bits, the operating level,
 // processor count, search effort, and a SHA-256 over the schedule and the
 // backup plan, for every approach and extension across the corpus. It is
-// the oracle the single platform evaluation path is held to. Regenerate
-// with `go test ./internal/core -run TestHomogeneousGolden -update` only
-// for an intentional behaviour change.
+// the oracle the single platform evaluation path is held to, with and
+// without a schedule memo shared by the whole corpus. Regenerate with
+// `go test ./internal/core -run TestHomogeneousGolden -update` only for an
+// intentional behaviour change.
 func TestHomogeneousGolden(t *testing.T) {
-	got := goldenLines(t)
+	t.Run("memo=off", func(t *testing.T) { checkHomogeneousGolden(t, nil) })
+	t.Run("memo=on", func(t *testing.T) {
+		memo := NewScheduleMemo()
+		checkHomogeneousGolden(t, memo)
+		if st := memo.Stats(); st.Hits == 0 {
+			t.Errorf("corpus-wide memo never hit: %+v", st)
+		}
+	})
+}
+
+func checkHomogeneousGolden(t *testing.T, memo *ScheduleMemo) {
+	got := goldenLines(t, memo)
 	goldenPath := filepath.Join("testdata", "homogeneous.golden")
-	if *updateGolden {
+	if *updateGolden && memo == nil {
 		keys := make([]string, 0, len(got))
 		for k := range got {
 			keys = append(keys, k)

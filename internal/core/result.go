@@ -30,7 +30,7 @@ var Approaches = []string{
 // Stats reports the search effort of a heuristic, mirroring the paper's
 // complexity discussion T_LAMPS = log2(N_upb − N_lwb)·T_ls + M·T_ls.
 type Stats struct {
-	SchedulesBuilt  int // list-scheduling invocations
+	SchedulesBuilt  int // distinct processor counts scheduled, built or restored from Engine.Memo
 	LevelsEvaluated int // (schedule, level) energy evaluations
 }
 

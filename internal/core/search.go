@@ -20,6 +20,12 @@ import (
 // possible but harmless — exactly one wins the memo slot and is counted, so
 // SchedulesBuilt stays deterministic.
 //
+// With a cross-request ScheduleMemo (Engine.Memo) a count the memo already
+// holds is restored into a shell instead of being list-scheduled, and a
+// fresh build is packed into the memo; either way the count enters byCount
+// and is counted once, so Stats and Observer feeds do not depend on the
+// memo's contents.
+//
 // The scheduler lives inside an arena: the byCount memo and the shell free
 // list survive across requests (reset by arena.close), so a warm request
 // never allocates a Schedule — shells are recycled and ScheduleInto regrows
@@ -27,24 +33,49 @@ import (
 type scheduler struct {
 	ctx       context.Context
 	g         *dag.Graph
-	prio      []int64
 	obs       *obsHub
-	selfCheck bool            // Config.SelfCheck: verify every freshly built schedule
+	selfCheck bool            // Config.SelfCheck: verify every built or restored schedule
 	pf        *power.Platform // the run's machine
+	memo      *ScheduleMemo   // cross-request memo; nil for custom priorities
+	key       memoKey         // memo key of (g, pf's timing shape)
+	keyer     memoKeyer       // key scratch, reused across runs
 
 	mu      sync.Mutex
+	prio    []int64           // the run's priorities; EDF is computed on first use
+	edf     []int64           // EDF priority scratch, reused across runs
 	byCount []*sched.Schedule // memo indexed by processor count; nil = not built
 	shells  []*sched.Schedule // free list of fully-owned reusable Schedule scratch
 	built   int
 }
 
-func (sc *scheduler) init(ctx context.Context, g *dag.Graph, prio []int64, obs *obsHub, selfCheck bool, pf *power.Platform) {
+// init starts a run on g and pf. prio is a custom priority vector, or nil
+// for the default EDF priorities, which are then computed only if some
+// count has to be list-scheduled and which alone may use memo.
+func (sc *scheduler) init(ctx context.Context, g *dag.Graph, prio []int64, obs *obsHub, selfCheck bool,
+	pf *power.Platform, memo *ScheduleMemo) {
 	sc.ctx = ctx
 	sc.g = g
 	sc.prio = prio
 	sc.obs = obs
 	sc.selfCheck = selfCheck
 	sc.pf = pf
+	sc.memo = nil
+	if memo != nil && prio == nil {
+		sc.memo = memo
+		sc.key = sc.keyer.key(g, pf)
+	}
+}
+
+// priorities returns the run's list-scheduling priorities, computing the
+// default EDF vector into the scheduler's scratch on first use.
+func (sc *scheduler) priorities() []int64 {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.prio == nil {
+		sc.edf = sched.EDFPrioritiesInto(sc.edf, sc.g, 0)
+		sc.prio = sc.edf
+	}
+	return sc.prio
 }
 
 // getShell pops a recycled Schedule (or makes the arena's first one). The
@@ -104,21 +135,23 @@ func (sc *scheduler) at(n int) (*sched.Schedule, error) {
 		return s, nil
 	}
 	sc.mu.Unlock()
-	k := kernelPool.Get().(*sched.Scheduler)
 	s := sc.getShell()
-	err := k.ScheduleIntoPlatform(s, sc.g, sc.pf, n, sc.prio, nil)
-	kernelPool.Put(k)
+	fresh, err := sc.build(s, n)
 	if err != nil {
 		sc.putShell(s)
 		return nil, err
 	}
 	if sc.selfCheck {
-		// Config.SelfCheck: every schedule the kernel emits is re-checked
-		// from first principles before any search step may consume it.
+		// Config.SelfCheck: every schedule — built by the kernel or restored
+		// from the memo — is re-checked from first principles before any
+		// search step may consume it.
 		if verr := verify.PlatformSchedule(sc.g, sc.pf, s); verr != nil {
 			sc.putShell(s)
 			return nil, fmt.Errorf("core: self-check: schedule on %d processors: %w", n, verr)
 		}
+	}
+	if fresh && sc.memo != nil {
+		sc.memo.put(&sc.key, n, sched.Pack(s))
 	}
 	sc.mu.Lock()
 	for len(sc.byCount) <= n {
@@ -138,7 +171,24 @@ func (sc *scheduler) at(n int) (*sched.Schedule, error) {
 	return s, nil
 }
 
-// builtCount returns the number of distinct schedules built so far.
+// build fills s with the schedule on n processors: restored from the
+// cross-request memo when it holds the count, list-scheduled otherwise
+// (fresh reports which). Counts outside the platform go to the kernel,
+// which rejects them.
+func (sc *scheduler) build(s *sched.Schedule, n int) (fresh bool, err error) {
+	k := kernelPool.Get().(*sched.Scheduler)
+	defer kernelPool.Put(k)
+	if sc.memo != nil && n >= 1 && n <= sc.pf.NumProcs() {
+		if p := sc.memo.get(&sc.key, n); p != nil {
+			k.Unpack(s, sc.g, sc.pf, p)
+			return false, nil
+		}
+	}
+	return true, k.ScheduleIntoPlatform(s, sc.g, sc.pf, n, sc.priorities(), nil)
+}
+
+// builtCount returns the number of distinct processor counts scheduled or
+// restored so far.
 func (sc *scheduler) builtCount() int {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()

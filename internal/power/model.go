@@ -71,6 +71,12 @@ func (l Level) String() string {
 	return fmt.Sprintf("level %d (Vdd=%.2fV, f=%.3gHz, %.2f·fmax)", l.Index, l.Vdd, l.Freq, l.Norm)
 }
 
+// MaxLevels caps the length of a model's voltage ladder. The paper's
+// ladders have a dozen levels; every +PS sweep evaluates each one, so Build
+// rejects a finer step with ErrBadParams rather than build an unbounded
+// ladder.
+const MaxLevels = 1024
+
 // Errors returned by model construction and queries.
 var (
 	ErrNotBuilt   = errors.New("power: model not built; call Build first")
@@ -138,6 +144,12 @@ func (m *Model) Build() error {
 		f := m.Frequency(vdd)
 		if f <= 0 {
 			break // below threshold: the ladder ends here
+		}
+		if len(m.levels) == MaxLevels {
+			// Also ends a step too small to lower vdd at all (below half
+			// an ulp of VddMax), which would otherwise never terminate.
+			return fmt.Errorf("%w: voltage ladder %g..%g step %g has more than %d levels",
+				ErrBadParams, m.VddMin, m.VddMax, m.VddStep, MaxLevels)
 		}
 		m.levels = append(m.levels, Level{
 			Index: len(m.levels),

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func approx(got, want, rel float64) bool {
@@ -230,6 +231,35 @@ func TestBuildErrors(t *testing.T) {
 		if err := m.Build(); !errors.Is(err, ErrBadParams) {
 			t.Errorf("case %d: Build err = %v, want ErrBadParams", i, err)
 		}
+	}
+}
+
+// TestBuildBoundsLadderLength: a step that would build more than
+// MaxLevels rungs is rejected — including one below half an ulp of
+// VddMax, which never lowers vdd at all — while the finest ladder within
+// the cap still builds.
+func TestBuildBoundsLadderLength(t *testing.T) {
+	for _, step := range []float64{1e-17, 1e-6} {
+		m := Default70nm()
+		m.VddStep = step
+		done := make(chan error, 1)
+		go func() { done <- m.Build() }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrBadParams) {
+				t.Errorf("step %g: Build err = %v, want ErrBadParams", step, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("step %g: Build did not return", step)
+		}
+	}
+	m := Default70nm()
+	m.VddStep = (m.VddMax - m.VddMin) / (MaxLevels - 1)
+	if err := m.Build(); err != nil {
+		t.Fatalf("a %d-level ladder: %v", MaxLevels, err)
+	}
+	if n := len(m.Levels()); n > MaxLevels || n < MaxLevels-1 {
+		t.Errorf("ladder has %d levels, want about %d", n, MaxLevels)
 	}
 }
 

@@ -119,7 +119,7 @@ type metrics struct {
 
 	queueShed *histogram // time spent queueing by requests shed with 503
 
-	schedulesBuilt  *histogram // per-run list-scheduling invocations
+	schedulesBuilt  *histogram // per-run schedules used, built or restored
 	levelsEvaluated *histogram // per-run (schedule, level) evaluations
 
 	effort core.Stats // aggregated search effort across all completed runs
@@ -376,19 +376,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE lampsd_batch_items histogram\n")
 	m.batchItems.write(w, "lampsd_batch_items", "")
 
-	fmt.Fprintf(w, "# HELP lampsd_schedules_built_total List-scheduling invocations across all completed runs (core.Stats).\n")
+	fmt.Fprintf(w, "# HELP lampsd_schedules_built_total Schedules used (one per distinct processor count of a run, built or restored from the schedule memo) across all completed runs (core.Stats).\n")
 	fmt.Fprintf(w, "# TYPE lampsd_schedules_built_total counter\n")
 	fmt.Fprintf(w, "lampsd_schedules_built_total %d\n", m.effort.SchedulesBuilt)
 	fmt.Fprintf(w, "# HELP lampsd_levels_evaluated_total Energy evaluations of (schedule, level) pairs across all completed runs (core.Stats).\n")
 	fmt.Fprintf(w, "# TYPE lampsd_levels_evaluated_total counter\n")
 	fmt.Fprintf(w, "lampsd_levels_evaluated_total %d\n", m.effort.LevelsEvaluated)
 
-	fmt.Fprintf(w, "# HELP lampsd_schedules_built Per-run list-scheduling invocations, cancelled runs included (Observer feed).\n")
+	fmt.Fprintf(w, "# HELP lampsd_schedules_built Per-run schedules used, built or restored from the schedule memo, cancelled runs included (Observer feed).\n")
 	fmt.Fprintf(w, "# TYPE lampsd_schedules_built histogram\n")
 	m.schedulesBuilt.write(w, "lampsd_schedules_built", "")
 	fmt.Fprintf(w, "# HELP lampsd_levels_evaluated Per-run (schedule, level) energy evaluations, cancelled runs included (Observer feed).\n")
 	fmt.Fprintf(w, "# TYPE lampsd_levels_evaluated histogram\n")
 	m.levelsEvaluated.write(w, "lampsd_levels_evaluated", "")
+
+	ms := s.memo.Stats()
+	fmt.Fprintf(w, "# HELP lampsd_schedule_memo_hits_total Schedules restored from the cross-request schedule memo instead of list-scheduled.\n")
+	fmt.Fprintf(w, "# TYPE lampsd_schedule_memo_hits_total counter\n")
+	fmt.Fprintf(w, "lampsd_schedule_memo_hits_total %d\n", ms.Hits)
+	fmt.Fprintf(w, "# HELP lampsd_schedule_memo_misses_total Schedule memo lookups that list-scheduled the count.\n")
+	fmt.Fprintf(w, "# TYPE lampsd_schedule_memo_misses_total counter\n")
+	fmt.Fprintf(w, "lampsd_schedule_memo_misses_total %d\n", ms.Misses)
+	fmt.Fprintf(w, "# HELP lampsd_schedule_memo_evictions_total Graph entries the schedule memo dropped to stay within its byte budget.\n")
+	fmt.Fprintf(w, "# TYPE lampsd_schedule_memo_evictions_total counter\n")
+	fmt.Fprintf(w, "lampsd_schedule_memo_evictions_total %d\n", ms.Evictions)
+	fmt.Fprintf(w, "# HELP lampsd_schedule_memo_bytes Bytes of packed schedules the schedule memo holds.\n")
+	fmt.Fprintf(w, "# TYPE lampsd_schedule_memo_bytes gauge\n")
+	fmt.Fprintf(w, "lampsd_schedule_memo_bytes %d\n", ms.Bytes)
 
 	fmt.Fprintf(w, "# TYPE lampsd_workers gauge\n")
 	fmt.Fprintf(w, "lampsd_workers %d\n", s.pool.Cap())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"lamps/internal/power"
@@ -187,9 +188,10 @@ func TestSchedulePlatformDefault(t *testing.T) {
 func TestSchedulePlatformInvalid(t *testing.T) {
 	ts := newTestServer(t, server.Options{})
 	for name, platform := range map[string]string{
-		"unknown class": `{"classes":[{"name":"lp","model":{}}],"procs":["big"]}`,
-		"unknown field": `{"classes":[],"procs":[],"bogus":1}`,
-		"not an object": `42`,
+		"unknown class":   `{"classes":[{"name":"lp","model":{}}],"procs":["big"]}`,
+		"unknown field":   `{"classes":[],"procs":[],"bogus":1}`,
+		"not an object":   `42`,
+		"ladder too fine": strings.Replace(string(requestPlatformJSON(t)), `"vdd_step": 0.05`, `"vdd_step": 1e-17`, 1),
 	} {
 		req := scheduleReq("lamps", diamondGraph(), 2)
 		req["platform"] = json.RawMessage(platform)

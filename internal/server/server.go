@@ -171,8 +171,9 @@ type Options struct {
 // concurrent use and carries no background goroutines of its own.
 type Server struct {
 	opts      Options
-	pool      *workpool.Pool // one slot per executing scheduling run
-	search    *workpool.Pool // intra-run search parallelism (nil = serial)
+	pool      *workpool.Pool     // one slot per executing scheduling run
+	search    *workpool.Pool     // intra-run search parallelism (nil = serial)
+	memo      *core.ScheduleMemo // list schedules shared by every request's runs
 	cache     *cache.LRU
 	store     *store.Store // nil = no persistence
 	admission *admission   // per-cost-class front door to the pool
@@ -215,6 +216,7 @@ func New(opts Options) *Server {
 		opts:    opts,
 		pool:    workpool.NewPool(opts.Workers),
 		cache:   cache.New(opts.CacheSize),
+		memo:    core.NewScheduleMemo(),
 		store:   opts.Store,
 		metrics: newMetrics(),
 		log:     opts.Logger,
@@ -481,11 +483,14 @@ func (s *Server) runProblem(ctx context.Context, key, approach string, g *dag.Gr
 }
 
 // coreRunner is the default Runner: a core engine sharing the server-wide
-// search pool, instrumented so every run — finished or cancelled — feeds
-// the per-stage effort histograms live via the Observer→metrics adapter.
+// search pool and schedule memo — so /v1/schedule, /v1/batch and /v1/sweep
+// runs on a graph seen before restore its list schedules instead of
+// rebuilding them — instrumented so every run, finished or cancelled,
+// feeds the per-stage effort histograms live via the Observer→metrics
+// adapter.
 func (s *Server) coreRunner(ctx context.Context, approach string, g *dag.Graph, cfg core.Config) (*core.Result, error) {
 	counter := &stageCounter{}
-	eng := core.Engine{Config: cfg, Observer: counter, Pool: s.search}
+	eng := core.Engine{Config: cfg, Observer: counter, Pool: s.search, Memo: s.memo}
 	r, err := eng.Run(ctx, approach, g)
 	s.metrics.recordStages(counter.schedules, counter.levels)
 	return r, err

@@ -553,6 +553,10 @@ func TestMetricsExposition(t *testing.T) {
 		"lampsd_cache_misses_total",
 		"lampsd_schedules_built_total",
 		"lampsd_levels_evaluated_total",
+		"lampsd_schedule_memo_hits_total",
+		"lampsd_schedule_memo_misses_total",
+		"lampsd_schedule_memo_evictions_total 0",
+		"lampsd_schedule_memo_bytes",
 		`lampsd_schedule_seconds_count{approach="LAMPS"} 1`,
 		"lampsd_cache_enabled 1",
 		`lampsd_admission_admitted_total{class="standard"} 1`,
@@ -567,6 +571,35 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if v := metricValue(t, ts, "lampsd_schedules_built_total"); v <= 0 {
 		t.Errorf("lampsd_schedules_built_total = %g, want > 0", v)
+	}
+}
+
+// TestScheduleMemoAcrossRequests: a graph resubmitted under new deadlines
+// and approaches is a result-cache miss but restores its list schedules
+// from the server's schedule memo, and every body — stats.schedules_built
+// included — is byte-identical to the one a fresh server returns.
+func TestScheduleMemoAcrossRequests(t *testing.T) {
+	warm := newTestServer(t, server.Options{})
+	reqs := []map[string]any{
+		scheduleReq("lamps", diamondGraph(), 2),
+		scheduleReq("lamps+ps", diamondGraph(), 3),
+		scheduleReq("ss", diamondGraph(), 4),
+	}
+	for i, req := range reqs {
+		status, body, cache := post(t, warm, req)
+		if status != http.StatusOK || cache != "miss" {
+			t.Fatalf("request %d: status %d, cache %q, want a 200 miss", i, status, cache)
+		}
+		_, want, _ := post(t, newTestServer(t, server.Options{}), req)
+		if !bytes.Equal(body, want) {
+			t.Errorf("request %d: body with a warm memo differs from a fresh server's\nwarm:  %s\nfresh: %s", i, body, want)
+		}
+	}
+	if v := metricValue(t, warm, "lampsd_schedule_memo_hits_total"); v <= 0 {
+		t.Errorf("lampsd_schedule_memo_hits_total = %g after resubmitting a graph, want > 0", v)
+	}
+	if v := metricValue(t, warm, "lampsd_schedule_memo_bytes"); v <= 0 {
+		t.Errorf("lampsd_schedule_memo_bytes = %g, want > 0", v)
 	}
 }
 

@@ -25,7 +25,7 @@ const (
 // FaultPlanOptions parameterises FaultPlan.
 type FaultPlanOptions struct {
 	// Platform, when non-nil, supplies per-class slot scaling (a backup on
-	// processor p lasts ScaledWeight(class(p), weight) timeline cycles) and
+	// processor p lasts its class-stretched weight in timeline cycles) and
 	// the reference class for the policy check. Nil means identical
 	// processors.
 	Platform *power.Platform
@@ -81,7 +81,11 @@ func FaultPlan(g *dag.Graph, s *sched.Schedule, plan *sched.BackupPlan, opt Faul
 		}
 		w := g.Weight(v)
 		if pf != nil {
-			w = pf.ScaledWeight(pf.ClassOf(bp), w)
+			var ok bool
+			if w, ok = slotCycles(pf, pf.ClassOf(bp), w); !ok {
+				return violationf(CheckBackup, g, s, []int32{int32(v)},
+					"task %d's stretched backup slot on processor %d exceeds int64 cycles", v, bp)
+			}
 		}
 		if d := plan.Finish[v] - plan.Start[v]; d != w {
 			return violationf(CheckBackup, g, s, []int32{int32(v)},

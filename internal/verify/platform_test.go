@@ -1,10 +1,13 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"lamps/internal/dag"
 	"lamps/internal/energy"
 	"lamps/internal/power"
 	"lamps/internal/sched"
@@ -88,6 +91,53 @@ func TestPlatformScheduleRejectsScaledDurationMismatch(t *testing.T) {
 		return
 	}
 	t.Fatal("no task landed on a scaled class; platform too small for the test")
+}
+
+// TestPlatformScheduleRejectsOverflowedSlot: on a class slowed 10^12-fold
+// a 2^30-cycle task's stretched slot does not fit in int64, and the
+// kernel's float conversion leaves it as [0, -2^63). The verifier derives
+// the slot length itself, so it must reject that slot rather than accept
+// the kernel's overflowed figure as the expected duration.
+func TestPlatformScheduleRejectsOverflowedSlot(t *testing.T) {
+	slow := *power.Default70nm()
+	slow.Ld *= 1e12
+	if err := slow.Build(); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := power.NewPlatform(
+		[]power.CoreClass{{Name: "lp", Model: &slow}, {Name: "hp", Model: power.Default70nm()}},
+		[]int{0, 0, 0, 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := dag.NewBuilder("overflow")
+	b.AddTask(1 << 30)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ListSchedulePlatform(g, pf, 3, sched.EDFPriorities(g, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Start[0] != 0 || s.Finish[0] != math.MinInt64 {
+		t.Fatalf("kernel slot [%d, %d), want the overflowed [0, -2^63)", s.Start[0], s.Finish[0])
+	}
+	err = PlatformSchedule(g, pf, s)
+	var v *Violation
+	if !errors.As(err, &v) || v.Check != CheckPlacement {
+		t.Fatalf("overflowed slot: err = %v, want a placement violation", err)
+	}
+
+	// The same slot on the unstretched class is rejected as reversed.
+	one := oneClass(t, 1)
+	c := cloneSchedule(s)
+	c.NumProcs = 1
+	c.Proc[0] = 0
+	if err := PlatformSchedule(g, one, c); !errors.Is(err, ErrViolation) {
+		t.Fatalf("reversed slot on one class: err = %v, want a violation", err)
+	}
 }
 
 // parityInput is one schedule on one platform with the deadline slacks the

@@ -24,6 +24,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -122,10 +123,11 @@ type ScheduleOptions struct {
 	DeadlineCycles int64
 
 	// expectDur, when non-nil, overrides the expected duration of task v on
-	// its assigned processor (the raw weight by default). The platform
-	// checks use it for class-scaled slot lengths; it is unexported because
-	// callers outside the package go through PlatformScheduleWithin.
-	expectDur func(v, proc int) int64
+	// its assigned processor (the raw weight by default); ok is false when
+	// that duration does not fit in int64. The platform checks use it for
+	// class-scaled slot lengths; it is unexported because callers outside
+	// the package go through PlatformScheduleWithin.
+	expectDur func(v, proc int) (d int64, ok bool)
 }
 
 // Schedule checks s against g from first principles: placements, durations,
@@ -169,9 +171,17 @@ func ScheduleWithin(g *dag.Graph, s *sched.Schedule, opt ScheduleOptions) error 
 			return violationf(CheckPlacement, g, s, []int32{int32(v)},
 				"task %d starts at %d", v, s.Start[v])
 		}
+		if s.Finish[v] <= s.Start[v] {
+			return violationf(CheckPlacement, g, s, []int32{int32(v)},
+				"task %d occupies the empty or reversed slot [%d, %d)", v, s.Start[v], s.Finish[v])
+		}
 		w := g.Weight(v)
 		if opt.expectDur != nil {
-			w = opt.expectDur(v, int(s.Proc[v]))
+			var ok bool
+			if w, ok = opt.expectDur(v, int(s.Proc[v])); !ok {
+				return violationf(CheckPlacement, g, s, []int32{int32(v)},
+					"task %d's stretched slot on processor %d exceeds int64 cycles", v, s.Proc[v])
+			}
 		}
 		if d := s.Finish[v] - s.Start[v]; d != w {
 			return violationf(CheckPlacement, g, s, []int32{int32(v)},
@@ -251,9 +261,10 @@ func ScheduleWithin(g *dag.Graph, s *sched.Schedule, opt ScheduleOptions) error 
 
 // PlatformSchedule checks a heterogeneous-platform schedule against g from
 // first principles. The invariants are those of Schedule with one change:
-// a task's slot on processor p must last pf.ScaledWeight(class(p), weight)
-// timeline cycles — the class-stretched duration — instead of the raw
-// weight.
+// a task's slot on processor p must last the class-stretched duration
+// ceil(weight·Scale(class(p))) timeline cycles (exactly the weight on an
+// unstretched class) instead of the raw weight. The verifier derives that
+// length itself, and a stretch past int64 is a violation, never a length.
 func PlatformSchedule(g *dag.Graph, pf *power.Platform, s *sched.Schedule) error {
 	return PlatformScheduleWithin(g, pf, s, ScheduleOptions{})
 }
@@ -268,10 +279,25 @@ func PlatformScheduleWithin(g *dag.Graph, pf *power.Platform, s *sched.Schedule,
 		return violationf(CheckShape, g, s, nil,
 			"schedule uses %d processors of a %d-processor platform", s.NumProcs, pf.NumProcs())
 	}
-	opt.expectDur = func(v, proc int) int64 {
-		return pf.ScaledWeight(pf.ClassOf(proc), g.Weight(v))
+	opt.expectDur = func(v, proc int) (int64, bool) {
+		return slotCycles(pf, pf.ClassOf(proc), g.Weight(v))
 	}
 	return ScheduleWithin(g, s, opt)
+}
+
+// slotCycles is the timeline slot length of a w-cycle task on class c of
+// pf: w on a class of scale 1, ceil(w·scale) otherwise. ok is false when
+// the stretched length is not below 2^63, so does not fit in int64.
+func slotCycles(pf *power.Platform, c int, w int64) (d int64, ok bool) {
+	scale := pf.Scale(c)
+	if scale == 1 {
+		return w, true
+	}
+	x := math.Ceil(float64(w) * scale)
+	if !(x < math.MaxInt64) { // float64(MaxInt64) is 2^63; NaN fails too
+		return 0, false
+	}
+	return int64(x), true
 }
 
 // checkDispatchLists cross-checks s.TasksOn against the independently

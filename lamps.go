@@ -241,7 +241,7 @@ type (
 	// byte-identical to a serial one.
 	Engine = core.Engine
 	// Observer receives serialised progress callbacks from a running
-	// Engine: phase transitions, fresh schedule builds, energy evaluations.
+	// Engine: phase transitions, schedules used, energy evaluations.
 	Observer = core.Observer
 	// SearchStats reports the search effort of one heuristic run.
 	SearchStats = core.Stats
