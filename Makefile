@@ -30,10 +30,10 @@ fuzz-smoke:
 
 # Build-and-run smoke: every example and every command executes end to end
 # with quick arguments, so a main() that compiles but crashes on startup
-# cannot slip through the unit-test gate. The benchmark harnesses write
-# their reports into a scratch directory (a smoke run must not clobber the
-# checked-in BENCH_*.json workflow), and lampsd runs for two seconds and has
-# to drain cleanly on SIGINT.
+# cannot slip through the unit-test gate. corebench writes its report into
+# a scratch directory (a smoke run must not clobber the checked-in
+# BENCH_core.json), and lampsd runs for two seconds and has to drain cleanly
+# on SIGINT.
 smoke:
 	@set -e; for ex in examples/*/; do \
 		ls $$ex*.go >/dev/null 2>&1 || continue; \
@@ -43,9 +43,7 @@ smoke:
 	$(GO) run ./cmd/experiments -run fig3 -quick >/dev/null
 	$(GO) run ./cmd/verifycamp -n 10 >/dev/null
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/sweepbench -out $$tmp/sweep.json >/dev/null; \
 	$(GO) run ./cmd/corebench -repeat 1 -out $$tmp/core.json >/dev/null; \
-	$(GO) run ./cmd/loadgen -smoke -out $$tmp/loadgen.json >/dev/null; \
 	$(GO) build -o $$tmp/lampsd ./cmd/lampsd; \
 	echo "== lampsd (2s, SIGINT drain)"; \
 	timeout --preserve-status -s INT 2 $$tmp/lampsd -addr 127.0.0.1:0 2>/dev/null; \
@@ -74,21 +72,18 @@ verify-campaign:
 	$(GO) run ./cmd/verifycamp -n 200
 	$(GO) run ./cmd/verifycamp -faults -n 8 -factors 3,6 -mutate-every 2
 
-# Micro-benchmarks plus the three benchmark harnesses: sweepbench writes
-# per-cell latency percentiles and cold/warm sweep wall times to
-# BENCH_sweep.json; corebench writes serial-vs-parallel engine wall times,
-# speedups and before/after kernel micro-benchmarks (ns/op + allocs/op) to
-# BENCH_core.json (and fails if the parallel engine's results diverge from
-# the serial ones); loadgen drives the batch execution layer with a mixed
-# closed/open-loop workload and writes throughput + latency percentiles to
-# BENCH_loadgen.json, failing (exit 2) if the 4-worker closed-loop
-# throughput drops below the 1-worker rate on a multicore host. -benchmem so
-# every benchmark line carries allocs/op.
+# Micro-benchmarks (-benchmem, so every line carries allocs/op) plus the
+# in-process benchmark harness. corebench writes BENCH_core.json: serial vs
+# parallel engine wall times per graph and approach, the same for a mixed
+# 64-request RunBatch batch, and kernel rows (ns/op best of -repeat, plus
+# allocs/op) from the scheduling kernels up to a 48-cell /v1/sweep through
+# the in-process handler. It fails (exit 1) if a parallel result diverges
+# from the serial one, and (exit 2) if the batch runs slower on the worker
+# pool than on one worker on a multicore host. Real loopback HTTP to lampsd
+# is measured by lampsbench.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' . ./internal/core ./internal/sched ./internal/energy
-	$(GO) run ./cmd/sweepbench -out BENCH_sweep.json
 	$(GO) run ./cmd/corebench -out BENCH_core.json
-	$(GO) run ./cmd/loadgen -out BENCH_loadgen.json
 
 # The steady-state allocation gate: the reused scheduling kernel, the
 # gap-profile evaluation and the warm fault-tolerant profile resets must not

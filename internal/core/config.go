@@ -172,7 +172,9 @@ func (c *Config) validate(g *dag.Graph) error {
 	if g == nil || g.NumTasks() == 0 {
 		return fmt.Errorf("%w: empty graph", ErrBadConfig)
 	}
-	if c.Deadline <= 0 {
+	// NaN fails the comparison; +Inf (a huge deadline factor) would pass
+	// every run and then reach the response encoder.
+	if !(c.Deadline > 0) || math.IsInf(c.Deadline, 1) {
 		return fmt.Errorf("%w: deadline %g", ErrBadConfig, c.Deadline)
 	}
 	if c.MaxProcs < 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -255,6 +256,11 @@ func TestConfigValidation(t *testing.T) {
 	g := buildFig4a(t, coarseWeight)
 	if _, err := ScheduleAndStretch(g, Config{Deadline: -1}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("negative deadline err = %v", err)
+	}
+	for _, d := range []float64{math.Inf(1), math.NaN()} {
+		if _, err := ScheduleAndStretch(g, Config{Deadline: d}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("deadline %g err = %v", d, err)
+		}
 	}
 	if _, err := LAMPS(g, Config{Deadline: 1, MaxProcs: -2}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("negative MaxProcs err = %v", err)

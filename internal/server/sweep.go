@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 
@@ -167,7 +168,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		deadlines = append(deadlines, axis{sec: sec})
 	}
 	for _, f := range req.DeadlineFactors {
-		deadlines = append(deadlines, axis{sec: s.sweepDeadline(g, f), factor: f})
+		sec := s.sweepDeadline(g, f)
+		// A huge factor overflows to +Inf, which no cell line can encode;
+		// refuse it before the stream starts.
+		if math.IsInf(sec, 1) {
+			s.writeError(w, badRequest("deadline factor %g resolves to a non-finite deadline", f))
+			return
+		}
+		deadlines = append(deadlines, axis{sec: sec, factor: f})
 	}
 	procs := req.MaxProcs
 	if len(procs) == 0 {

@@ -272,6 +272,47 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteDeadlineIs400 sends a deadline factor whose deadline
+// overflows to +Inf. Each endpoint refuses it as a bad request: /v1/schedule
+// with 400, /v1/batch on that line alone, /v1/sweep before its stream
+// starts. Once they encoded +Inf and failed: a 500 on /v1/schedule, and a
+// sweep summary counting cells whose lines never reached the wire, so the
+// sweep half also holds a good grid on the same graph to the stream checks.
+func TestNonFiniteDeadlineIs400(t *testing.T) {
+	ts := newTestServer(t, server.Options{})
+	graph := map[string]any{
+		"tasks": []map[string]any{{"weight_cycles": 3_100_000_000_000}, {"weight_cycles": 6_200_000}},
+		"edges": [][2]int{{0, 1}},
+	}
+	for _, approach := range []string{"ss", "limit-sf", "lamps"} {
+		if status, body, _ := post(t, ts, scheduleReq(approach, graph, 1e308)); status != http.StatusBadRequest {
+			t.Errorf("/v1/schedule %s: status %d, want 400: %s", approach, status, body)
+		}
+	}
+
+	status, lines, raw := postBatch(t, ts, ndjsonBody(t, scheduleReq("ss", graph, 2), scheduleReq("ss", graph, 1e308)))
+	if status != http.StatusOK {
+		t.Fatalf("/v1/batch: status %d: %s", status, raw)
+	}
+	byIndex, _ := splitBatch(t, lines, 2)
+	if got := byIndex[0].Status; got != http.StatusOK {
+		t.Errorf("/v1/batch finite line: status %d, want 200", got)
+	}
+	if got := byIndex[1].Status; got != http.StatusBadRequest {
+		t.Errorf("/v1/batch +Inf line: status %d, want 400", got)
+	}
+
+	approaches := []string{"lamps", "ss"}
+	if status, _, raw := postSweep(t, ts, sweepReq(graph, approaches, []float64{2, 1e308}, nil)); status != http.StatusBadRequest {
+		t.Errorf("/v1/sweep: status %d, want 400: %s", status, raw)
+	}
+	status, _, raw = postSweep(t, ts, sweepReq(graph, approaches, []float64{2, 4}, nil))
+	if status != http.StatusOK {
+		t.Fatalf("/v1/sweep finite grid: status %d: %s", status, raw)
+	}
+	checkSweepStream(t, raw)
+}
+
 // panickyRunner returns a Runner that panics for the given approach and
 // delegates to core.RunCtx otherwise.
 func panickyRunner(approach string, block chan struct{}) func(context.Context, string, *dag.Graph, core.Config) (*core.Result, error) {
