@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke smoke verify-campaign bench alloc-gate store-gate hetero-gate ft-gate serve ci
+.PHONY: all build vet test race fuzz-smoke smoke verify-campaign bench alloc-gate store-gate parity-gate gate-check serve ci
 
 all: ci
 
@@ -104,27 +104,6 @@ alloc-gate:
 	$(GO) test -run 'TestRunBatchSteadyStateZeroAlloc|TestRunBatchMemoWarmHitAllocs|TestRunBatchFaultsSteadyStateAllocBound' -count=1 -v ./internal/core
 	$(GO) test -run 'TestScheduleWarmCacheHitAllocBound' -count=1 -v ./internal/server
 
-# The heterogeneous-platform gate. The parity half is the
-# behaviour-preservation contract: an N-identical-core Platform must produce
-# results byte-identical to the single-model configuration at every layer —
-# kernel placements, energy breakdowns bit for bit, engine results and
-# stats — every homogeneous result must match the frozen golden file
-# (TestHomogeneousGolden), and both kernels must match their frozen
-# heap-based references on the fuzz seed corpus. The invariant half holds
-# the genuinely heterogeneous path to the independent verifier (scaled-slot
-# legality, the one first-principles energy walk on one-class and LP/HP
-# inputs, the mutation self-test on both, LIMIT bounds, the HP-core
-# feasibility separation, the scaled-slot cycle envelope) and to the
-# platform digest/serving contract, including the schedule-handler fuzz
-# seeds. Under -race: the engine evaluates platform candidates from many
-# goroutines.
-hetero-gate:
-	$(GO) test -race -run 'TestScheduleIntoPlatformHomogeneousParity|FuzzScheduleIntoMatchesReference|TestEvaluatePointHomogeneousParity|TestMinFeasiblePointHomogeneousParity' -count=1 -v ./internal/sched ./internal/energy
-	$(GO) test -race -run 'TestHomogeneousPlatformParity|TestHomogeneousGolden|TestHeterogeneous|TestHetero' -count=1 -v ./internal/core
-	$(GO) test -race -run 'TestEnergyParity|TestPlatformEnergyParity|TestSelfTestDetectsEveryClass|TestSelfTestPlatformDetectsEveryClass' -count=1 -v ./internal/verify
-	$(GO) test -race -run 'TestPlatform' -count=1 -v ./internal/graphhash
-	$(GO) test -race -run 'TestSchedulePlatform|FuzzScheduleHandler' -count=1 -v ./internal/server
-
 # The persistence and overload gate: the segment-log store must round-trip
 # byte-identical records, drop truncated or corrupt tails at every byte
 # boundary, and skip stale-stamp segments; the serving layer must warm-load
@@ -137,28 +116,55 @@ store-gate:
 	$(GO) test -race -run 'TestPersistenceAcrossServers|TestPersistenceSkipsStaleStamp|TestRetryAfterReflectsQueueWait|TestQueueFullReturns429' -count=1 -v ./internal/server
 	$(GO) test -race -run 'TestWarmRestartServesPersistedResults' -count=1 -v ./cmd/lampsd
 
-# The fault-tolerance gate. The parity half is the tentpole
-# behaviour-preservation contract: a Faults block with K=0 must be
-# byte-identical to no block at all across all six approaches, homogeneous
-# and heterogeneous, end to end through the serving layer, and every
-# homogeneous K∈{0,1} result must match the frozen golden file. The invariant
-# half holds the K≥1 path to the independent verifier — backup-plan
-# legality, bit-identical placement against the linear-scan reference
-# planner (random graphs plus the fuzz seed corpus), bit-for-bit FT
-# energy against the verifier's one walk with a backup plan,
-# simulator/verifier agreement on replayed fault patterns, detection of
-# every backup corruption class on one-class and LP/HP platforms — and to
-# the digest/serving contract (distinct keys per K and policy, byte-stable
-# bodies through cache, singleflight and a store warm restart, and the
-# schedule-handler fuzz seeds, under -race).
-ft-gate:
+# The parity gate: the heterogeneous-platform and fault-tolerance contracts.
+# The parity half is the behaviour-preservation contract: an
+# N-identical-core Platform must produce results byte-identical to the
+# single-model configuration at every layer — kernel placements, energy
+# breakdowns bit for bit, engine results and stats — a Faults block with
+# K=0 must be byte-identical to no block at all across all six approaches,
+# homogeneous and heterogeneous, end to end through the serving layer, every
+# homogeneous K∈{0,1} result must match the frozen golden file
+# (TestHomogeneousGolden), and both list-scheduling kernels and the backup
+# planner must match their frozen reference implementations on the fuzz seed
+# corpus. The invariant half holds the genuinely heterogeneous and the K≥1
+# paths to the independent verifier: scaled-slot legality, the one
+# first-principles energy walk (with a backup plan where there is one) on
+# one-class and LP/HP inputs, the mutation self-tests including every backup
+# corruption class, LIMIT bounds, the HP-core feasibility separation, the
+# scaled-slot cycle envelope, backup-plan legality, simulator/verifier
+# agreement on replayed fault patterns — and to the digest/serving contract:
+# distinct keys per platform, K and policy, byte-stable bodies through cache,
+# singleflight and a store warm restart, and the schedule-handler fuzz
+# seeds. The engine evaluates candidates from many goroutines, so the
+# engine, verifier, digest and serving lines run under -race.
+parity-gate:
 	$(GO) test -run 'TestPlanBackups|TestBackupPlan|FuzzBackupPlanMatchesReference' -count=1 -v ./internal/sched
 	$(GO) test -run 'TestResetFT|TestResetPlatformFT' -count=1 -v ./internal/energy
 	$(GO) test -run 'TestSelfTestFaults|TestFaultPlan' -count=1 -v ./internal/verify
 	$(GO) test -run 'TestReplayFaults' -count=1 -v ./internal/sim
-	$(GO) test -race -run 'TestFaults' -count=1 -v ./internal/graphhash ./internal/verify/campaign
-	$(GO) test -race -run 'TestFaults|TestHomogeneousGolden' -count=1 -v ./internal/core
-	$(GO) test -race -run 'TestFaults|FuzzScheduleHandler' -count=1 -v ./internal/server
+	$(GO) test -race -run 'TestScheduleIntoPlatformHomogeneousParity|FuzzScheduleIntoMatchesReference|TestEvaluatePointHomogeneousParity|TestMinFeasiblePointHomogeneousParity' -count=1 -v ./internal/sched ./internal/energy
+	$(GO) test -race -run 'TestHomogeneousPlatformParity|TestHomogeneousGolden|TestHeterogeneous|TestHetero|TestFaults' -count=1 -v ./internal/core
+	$(GO) test -race -run 'TestEnergyParity|TestPlatformEnergyParity|TestSelfTestDetectsEveryClass|TestSelfTestPlatformDetectsEveryClass' -count=1 -v ./internal/verify
+	$(GO) test -race -run 'TestPlatform|TestFaults' -count=1 -v ./internal/graphhash
+	$(GO) test -race -run 'TestFaults' -count=1 -v ./internal/verify/campaign
+	$(GO) test -race -run 'TestSchedulePlatform|TestFaults|FuzzScheduleHandler' -count=1 -v ./internal/server
+
+# A -run pattern that matches no test passes silently, so a renamed test
+# would drop out of its gate unnoticed. This check lists, for every
+# |-separated alternative of every gate line's -run pattern, the tests it
+# selects in that line's packages (go test -list), and fails if any
+# alternative selects none.
+gate-check:
+	@$(MAKE) -s -n alloc-gate parity-gate store-gate | grep -e " -run '" | { bad=0; n=0; \
+	while read -r line; do \
+		pat=$$(echo "$$line" | sed -n "s/.* -run '\([^']*\)'.*/\1/p"); \
+		pkgs=$$(echo "$$line" | tr ' ' '\n' | grep '^\./'); \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			n=$$((n+1)); \
+			$(GO) test -list "$$alt" $$pkgs | grep -q '^\(Test\|Fuzz\|Benchmark\|Example\)' || \
+				{ echo "gate-check: -run alternative '$$alt' selects no test in" $$pkgs; bad=1; }; \
+		done; \
+	done; [ $$bad = 0 ] && echo "gate-check: all $$n -run alternatives select a test"; exit $$bad; }
 
 # Run the scheduling service locally.
 serve:

@@ -77,7 +77,7 @@ func requireSameResult(t *testing.T, ctx string, legacy, plat *Result) {
 }
 
 // TestHomogeneousPlatformParity is the tentpole's behaviour-preservation
-// gate, enforced under -race by `make hetero-gate`: for every approach — the
+// gate, enforced under -race by `make parity-gate`: for every approach — the
 // six of the paper plus both multiple-frequency extensions — a Config
 // carrying an N-identical-core Platform must produce results byte-identical
 // to the legacy (Model, MaxProcs=N) Config: same energy breakdown bit for

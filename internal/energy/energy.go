@@ -107,20 +107,3 @@ func MinFeasibleLevelCycles(makespan int64, m *power.Model, deadlineSec float64)
 	}
 	return lvl, nil
 }
-
-// FeasibleLevels returns all operating points at which the schedule meets
-// the deadline, ordered from the fastest (index 0) to the slowest feasible
-// one. The frequency sweep of the +PS heuristics iterates over exactly this
-// slice.
-func FeasibleLevels(s *sched.Schedule, m *power.Model, deadlineSec float64) ([]power.Level, error) {
-	return FeasibleLevelsCycles(s.Makespan, m, deadlineSec)
-}
-
-// FeasibleLevelsCycles is FeasibleLevels for an explicit cycle count.
-func FeasibleLevelsCycles(makespan int64, m *power.Model, deadlineSec float64) ([]power.Level, error) {
-	min, err := MinFeasibleLevelCycles(makespan, m, deadlineSec)
-	if err != nil {
-		return nil, err
-	}
-	return m.Levels()[:min.Index+1], nil
-}

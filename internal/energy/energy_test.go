@@ -251,6 +251,9 @@ func TestMinFeasibleLevel(t *testing.T) {
 	}
 }
 
+// TestFeasibleLevels: the +PS grid on a one-class platform runs from the
+// fastest level down to the minimum feasible one, and every level on it
+// meets the deadline.
 func TestFeasibleLevels(t *testing.T) {
 	m := power.Default70nm()
 	g := coarseFig4a(t)
@@ -258,15 +261,19 @@ func TestFeasibleLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := 4 * float64(s.Makespan) / m.FMax()
-	lvls, err := FeasibleLevels(s, m, d)
+	pf, err := power.Homogeneous(s.NumProcs, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lvls) == 0 || lvls[0].Index != 0 {
-		t.Fatalf("FeasibleLevels = %v", lvls)
+	d := 4 * float64(s.Makespan) / m.FMax()
+	pts, err := FeasiblePointsCycles(s.Makespan, pf, d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	last := lvls[len(lvls)-1]
+	if len(pts) == 0 || pts[0].Index != 0 {
+		t.Fatalf("FeasiblePointsCycles = %v", pts)
+	}
+	last := pts[len(pts)-1].Levels[0]
 	if float64(s.Makespan)/last.Freq > d*(1+1e-12) {
 		t.Errorf("slowest feasible level misses deadline")
 	}
@@ -274,8 +281,8 @@ func TestFeasibleLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last.Index != minLvl.Index {
-		t.Errorf("FeasibleLevels last = %v, MinFeasibleLevel = %v", last, minLvl)
+	if last != minLvl {
+		t.Errorf("FeasiblePointsCycles last = %v, MinFeasibleLevel = %v", last, minLvl)
 	}
 }
 

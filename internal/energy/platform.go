@@ -4,18 +4,13 @@ import (
 	"fmt"
 
 	"lamps/internal/power"
-	"lamps/internal/sched"
 )
 
-// MinFeasiblePoint returns the slowest platform operating point at which
-// the schedule's timeline makespan still fits the deadline — the platform
-// analogue of MinFeasibleLevel.
-func MinFeasiblePoint(s *sched.Schedule, pf *power.Platform, deadlineSec float64) (power.OperatingPoint, error) {
-	return MinFeasiblePointCycles(s.Makespan, pf, deadlineSec)
-}
-
-// MinFeasiblePointCycles is MinFeasiblePoint for an explicit timeline cycle
-// count — the fault-tolerant engine passes the recovery makespan here.
+// MinFeasiblePointCycles returns the slowest platform operating point at
+// which a timeline makespan of the given cycle count still fits the
+// deadline — the platform analogue of MinFeasibleLevelCycles. The engine
+// passes a schedule's makespan, or on the fault-tolerant path its recovery
+// makespan.
 func MinFeasiblePointCycles(makespan int64, pf *power.Platform, deadlineSec float64) (power.OperatingPoint, error) {
 	if deadlineSec <= 0 {
 		return power.OperatingPoint{}, fmt.Errorf("%w: non-positive deadline", ErrDeadline)
@@ -35,15 +30,9 @@ func MinFeasiblePointCycles(makespan int64, pf *power.Platform, deadlineSec floa
 	return pt, nil
 }
 
-// FeasiblePoints returns every platform operating point at which the
-// schedule meets the deadline, fastest first — the grid the heterogeneous
-// +PS sweep iterates.
-func FeasiblePoints(s *sched.Schedule, pf *power.Platform, deadlineSec float64) ([]power.OperatingPoint, error) {
-	return FeasiblePointsCycles(s.Makespan, pf, deadlineSec)
-}
-
-// FeasiblePointsCycles is FeasiblePoints for an explicit timeline cycle
-// count.
+// FeasiblePointsCycles returns every platform operating point at which a
+// timeline makespan of the given cycle count meets the deadline, fastest
+// first — the grid the +PS sweep iterates.
 func FeasiblePointsCycles(makespan int64, pf *power.Platform, deadlineSec float64) ([]power.OperatingPoint, error) {
 	min, err := MinFeasiblePointCycles(makespan, pf, deadlineSec)
 	if err != nil {

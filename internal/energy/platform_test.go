@@ -103,7 +103,7 @@ func TestMinFeasiblePointHomogeneousParity(t *testing.T) {
 		}
 		deadline := float64(s.Makespan) / m.FMax() * (1 + rng.Float64()*4)
 		lvl, errL := MinFeasibleLevel(s, m, deadline)
-		pt, errP := MinFeasiblePoint(s, pf, deadline)
+		pt, errP := MinFeasiblePointCycles(s.Makespan, pf, deadline)
 		if (errL == nil) != (errP == nil) {
 			t.Fatalf("iter %d: err %v vs legacy %v", iter, errP, errL)
 		}
@@ -128,16 +128,16 @@ func TestEvaluatePointHeterogeneous(t *testing.T) {
 		s := heteroSchedule(t, pf, int64(iter)*31+1, 5+iter*4)
 		p.ResetPlatform(s, pf)
 		deadline := float64(s.Makespan) / pf.RefFMax() * 2
-		min, err := MinFeasiblePoint(s, pf, deadline)
+		min, err := MinFeasiblePointCycles(s.Makespan, pf, deadline)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		pts, err := FeasiblePoints(s, pf, deadline)
+		pts, err := FeasiblePointsCycles(s.Makespan, pf, deadline)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		if len(pts) != min.Index+1 || pts[len(pts)-1].Index != min.Index {
-			t.Fatalf("iter %d: FeasiblePoints = %d points, min index %d", iter, len(pts), min.Index)
+			t.Fatalf("iter %d: FeasiblePointsCycles = %d points, min index %d", iter, len(pts), min.Index)
 		}
 		for _, pt := range pts {
 			for _, opts := range []Options{{}, {PS: true}} {

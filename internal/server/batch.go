@@ -6,49 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
-
-	"lamps/internal/core"
-	"lamps/internal/dag"
-	"lamps/internal/graphhash"
-	"lamps/internal/workpool"
 )
-
-// batchLine is one NDJSON line of the /v1/batch response stream: a result
-// (or error) for the input line identified by Index, or — exactly once, at
-// the end — the batch summary. Lines are emitted in completion order;
-// clients reassemble input order via Index.
-type batchLine struct {
-	Index  *int            `json:"index,omitempty"`
-	Status int             `json:"status,omitempty"`
-	Cache  string          `json:"cache,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-
-	Summary *batchSummary `json:"summary,omitempty"`
-}
-
-// batchSummary is the final line of every batch stream.
-type batchSummary struct {
-	Requests  int  `json:"requests"`
-	Completed int  `json:"completed"`
-	OK        int  `json:"ok"`
-	Errors    int  `json:"errors"`
-	Invalid   int  `json:"invalid"`
-	CacheHits int  `json:"cache_hits"`
-	Coalesced int  `json:"coalesced"`
-	TimedOut  bool `json:"timed_out,omitempty"`
-}
-
-// batchItem is one decoded input line, either prepared for execution or
-// already failed during decode/validation/graph construction.
-type batchItem struct {
-	approach string
-	g        *dag.Graph
-	cfg      core.Config
-	key      string
-	err      error // set for lines that can never execute
-}
 
 // handleBatch serves POST /v1/batch: N independent scheduling problems, one
 // JSON object per input line (the exact /v1/schedule request schema), one
@@ -57,18 +15,14 @@ type batchItem struct {
 // /v1/batch executes many unrelated problems — mixed graphs, approaches and
 // deadlines — across the worker pool at one-request granularity.
 //
-// Every line goes through the same execute() path as /v1/schedule — cache
-// lookup by canonical digest, single-flight coalescing, panic isolation —
-// so a batch line's "result" field is byte-identical to the body an
-// individual request for the same problem returns, and a batch warms the
-// cache for single-shot traffic and vice versa.
-//
-// Isolation: a malformed line (unknown approach, invalid graph, wrong
-// shape) yields an error line for its index and does not affect any other
-// line; a panicking heuristic is confined to its line's 500. Cancellation:
-// when the client disconnects (or the request deadline fires) mid-batch,
-// lines not yet dispatched are never started; in-flight lines wind down
-// under the usual waiter-refcounted run contexts.
+// Every line is resolved by prepare and answered by stream, the pipeline
+// /v1/schedule and /v1/sweep share, so a batch line's "result" field is
+// byte-identical to the body an individual request for the same problem
+// returns, and a batch warms the cache for single-shot traffic and vice
+// versa. Lines are emitted in completion order; clients reassemble input
+// order via "index". A malformed line (unknown approach, invalid graph,
+// wrong shape) yields an error line for its index and affects no other
+// line.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	items, err := s.decodeBatch(r.Body)
@@ -76,141 +30,42 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the headers out before the first (possibly slow) line so
-		// clients can start reading the stream — and observe that the batch
-		// was accepted — while early lines are still executing.
-		flusher.Flush()
-	}
-
-	var (
-		wmu     sync.Mutex
-		sum     = batchSummary{Requests: len(items)}
-		encFail error
-	)
-	writeLine := func(line batchLine) {
-		// Pooled encoding: Encoder.Encode emits Marshal + '\n' byte for
-		// byte, so the wire stream is unchanged — one Write per line, no
-		// per-line marshal buffer.
-		e := getEncoder()
-		defer e.put()
-		err := e.enc.Encode(&line)
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err != nil {
-			// Unreachable for these types; recorded rather than swallowed.
-			encFail = err
-			return
-		}
-		w.Write(e.buf.Bytes())
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	// Emit invalid lines up front: they can never execute, so they must not
-	// occupy pool slots or delay the valid lines behind them.
-	for i := range items {
-		if items[i].err == nil {
-			continue
-		}
-		i := i
-		ae := classify(items[i].err)
-		writeLine(batchLine{Index: &i, Status: ae.status, Error: ae.msg})
-		sum.Completed++
-		sum.Invalid++
-		sum.Errors++
-		s.metrics.recordBatchLine(false)
-	}
-
-	workers := s.pool.Cap()
-	mapErr := workpool.MapCtx(ctx, len(items), workers, func(i int) error {
-		it := &items[i]
-		if it.err != nil {
-			return nil // already reported above
-		}
-		res := s.execute(ctx, it.key, it.approach, it.g, it.cfg)
-		line := batchLine{Index: &i, Cache: res.source}
-		wmu.Lock()
-		sum.Completed++
-		wmu.Unlock()
-		if res.err != nil {
-			ae := classify(res.err)
-			line.Status, line.Error = ae.status, ae.msg
-			s.metrics.recordBatchLine(false)
-			wmu.Lock()
-			sum.Errors++
-			wmu.Unlock()
-		} else {
-			// Same trailing-newline convention as the sweep stream: the
-			// embedded raw message is the /v1/schedule body minus its final
-			// newline, nothing else.
-			line.Status = res.status
-			line.Result = json.RawMessage(trimNewline(res.body))
-			s.metrics.recordBatchLine(true)
-			wmu.Lock()
-			sum.OK++
-			switch res.source {
-			case "hit":
-				sum.CacheHits++
-			case "shared":
-				sum.Coalesced++
-			}
-			wmu.Unlock()
-		}
-		writeLine(line)
-		return nil // line failures never abort the batch
-	})
-	// The line callback never returns an error, so mapErr is necessarily the
-	// context expiring mid-batch; lines that were never dispatched are
-	// reflected by Completed < Requests.
-	if mapErr != nil {
-		sum.TimedOut = true
-	}
-	if encFail != nil {
-		s.log.Error("encoding batch line", "err", encFail)
-	}
 	s.metrics.recordBatch(len(items))
-	writeLine(batchLine{Summary: &sum})
+	invalid := 0
+	s.stream(w, r, items, &s.metrics.batchLines, streamSummary{Requests: len(items), Invalid: &invalid})
 }
 
 // decodeBatch reads the NDJSON input stream and prepares every line for
 // execution. Whole-request failures (empty batch, too many lines, body over
 // the byte limit, malformed JSON that desynchronises the stream) return an
 // error; per-line failures are recorded in that line's slot.
-func (s *Server) decodeBatch(body io.Reader) ([]batchItem, error) {
+func (s *Server) decodeBatch(body io.Reader) ([]streamItem, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	var items []batchItem
+	var items []streamItem
 	for dec.More() {
 		if len(items) >= s.opts.BatchMaxItems {
 			return nil, tooLarge("batch has more than %d request lines", s.opts.BatchMaxItems)
 		}
 		var req scheduleRequest
-		if err := dec.Decode(&req); err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				return nil, tooLarge("request body exceeds the %d-byte limit", mbe.Limit)
-			}
-			var typ *json.UnmarshalTypeError
-			if errors.As(err, &typ) || isUnknownField(err) {
-				// Well-formed JSON with the wrong shape is a per-line error;
-				// the stream stays in sync because Decode consumed the value.
-				items = append(items, batchItem{err: badRequest("line %d: %v", len(items), err)})
-				continue
-			}
+		var p prepared
+		var mbe *http.MaxBytesError
+		var typ *json.UnmarshalTypeError
+		switch err := dec.Decode(&req); {
+		case err == nil:
+			p, err = s.prepare(&req)
+			items = append(items, streamItem{prepared: p, err: err, index: len(items)})
+		case errors.As(err, &mbe):
+			return nil, tooLarge("request body exceeds the %d-byte limit", mbe.Limit)
+		case errors.As(err, &typ) || isUnknownField(err):
+			// Well-formed JSON with the wrong shape is a per-line error; the
+			// stream stays in sync because Decode consumed the value.
+			items = append(items, streamItem{err: badRequest("line %d: %v", len(items), err), index: len(items)})
+		default:
 			// Malformed JSON desynchronises the stream: nothing after it can
 			// be trusted to start at a value boundary, so reject the batch.
 			return nil, badRequest("line %d: malformed JSON: %v", len(items), err)
 		}
-		items = append(items, s.prepareBatchLine(&req))
 	}
 	if len(items) == 0 {
 		return nil, badRequest("batch is empty: send one request object per line")
@@ -224,32 +79,4 @@ func (s *Server) decodeBatch(body io.Reader) ([]batchItem, error) {
 // still aligned on a value boundary and the batch can continue.
 func isUnknownField(err error) bool {
 	return strings.Contains(err.Error(), "unknown field")
-}
-
-// prepareBatchLine validates one input line and resolves its approach,
-// graph, config and cache key — the same pipeline handleSchedule runs, so
-// a batch line and a single-shot request agree on every derived value,
-// including the canonical digest the cache is keyed by.
-func (s *Server) prepareBatchLine(req *scheduleRequest) batchItem {
-	if err := req.validate(); err != nil {
-		return batchItem{err: err}
-	}
-	approach, err := canonicalApproach(req.Approach)
-	if err != nil {
-		return batchItem{err: err}
-	}
-	g, err := s.buildGraph(req.Graph, req.STG)
-	if err != nil {
-		return batchItem{err: err}
-	}
-	cfg, err := s.config(req, g)
-	if err != nil {
-		return batchItem{err: err}
-	}
-	return batchItem{
-		approach: approach,
-		g:        g,
-		cfg:      cfg,
-		key:      graphhash.Sum(problem(approach, g, cfg)),
-	}
 }

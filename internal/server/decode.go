@@ -45,9 +45,8 @@ func putBody(buf *bytes.Buffer) {
 	}
 }
 
-// decodeRequest parses and validates a /v1/schedule body up to (but
-// excluding) graph construction. Size overruns from http.MaxBytesReader
-// surface here as 413.
+// decodeRequest parses a /v1/schedule body; prepare validates it. Size
+// overruns from http.MaxBytesReader surface here as 413.
 //
 // The canonical spelling of a request — what a client marshaling a struct
 // typically sends — is parsed by decodeCanonical without reflection. Anything
@@ -66,9 +65,6 @@ func decodeRequest(body io.Reader) (*scheduleRequest, error) {
 		if err := decodeJSON(buf.Bytes(), req); err != nil {
 			return nil, err
 		}
-	}
-	if err := req.validate(); err != nil {
-		return nil, err
 	}
 	return req, nil
 }

@@ -3,13 +3,19 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"lamps/internal/dag"
+	"lamps/internal/sched"
 	"lamps/internal/server"
+	"lamps/internal/stg"
+	"lamps/internal/verify"
 )
 
 // FuzzScheduleHandler drives arbitrary bodies through the in-process
@@ -129,4 +135,203 @@ type sweepSummary struct {
 	Completed int `json:"completed"`
 	OK        int `json:"ok"`
 	Errors    int `json:"errors"`
+}
+
+// FuzzBatchHandler drives arbitrary bodies through the in-process /v1/batch
+// handler with SelfCheck on, on one worker. The property: the whole body is
+// refused with 400 or 413 before any line, or answered 200 with a stream
+// that holds exactly one decodable line per input index — each answered
+// 200, 400, 413 or 422 — and then one summary. Every 200 line's result has
+// passed the server's self-check; on the identical-processor machine its
+// placement is also re-checked here by the independent verifier against
+// the graph of its input line, and its makespan against its deadline.
+// Replaying the batch answers every index with the same status and a
+// byte-identical result (its "cache" field flips from miss to hit, and
+// lines arrive in completion order, so only these are compared). The seeds
+// in testdata/fuzz/FuzzBatchHandler cover mixed valid, schema-invalid,
+// unknown-approach and infeasible lines, fault-tolerant, platform and STG
+// lines, a repeated line, a deadline factor that overflows to +Inf and
+// whole-batch refusals.
+func FuzzBatchHandler(f *testing.F) {
+	h := server.New(server.Options{
+		Workers:       1,
+		MaxTasks:      16,
+		MaxBodyBytes:  16 << 10,
+		BatchMaxItems: 8,
+		SelfCheck:     true,
+		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}).Handler()
+	serve := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		first := serve(body)
+		switch first.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("status %d for %q: %s", first.Code, body, first.Body.Bytes())
+		}
+		lines := checkBatchStream(t, first.Body.Bytes())
+		inputs := splitValues(t, body, len(lines))
+		for i, l := range lines {
+			if l.Status == http.StatusOK {
+				if err := verifyBatchResult(inputs[i], l.Result); err != nil {
+					t.Fatalf("line %d of %q: %v\nresult %s", i, body, err, l.Result)
+				}
+			}
+		}
+		again := checkBatchStream(t, serve(body).Body.Bytes())
+		for i := range lines {
+			if again[i].Status != lines[i].Status || !bytes.Equal(again[i].Result, lines[i].Result) {
+				t.Fatalf("replay of line %d of %q differs:\nfirst  %d %s\nreplay %d %s",
+					i, body, lines[i].Status, lines[i].Result, again[i].Status, again[i].Result)
+			}
+		}
+	})
+}
+
+// checkBatchStream requires a 200 batch body to be a well-formed stream —
+// every line decodes, one line per index from 0 to the summary's request
+// count, every status 200, 400, 413 or 422, and the summary last — and
+// returns the lines by index.
+func checkBatchStream(t *testing.T, stream []byte) map[int]batchLine {
+	t.Helper()
+	var lines []batchLine
+	for _, raw := range bytes.Split(bytes.TrimSuffix(stream, []byte("\n")), []byte("\n")) {
+		var l batchLine
+		if err := json.Unmarshal(raw, &l); err != nil {
+			t.Fatalf("undecodable line %q: %v", raw, err)
+		}
+		lines = append(lines, l)
+	}
+	sum := lines[len(lines)-1].Summary
+	if sum == nil {
+		t.Fatalf("stream does not end in a summary:\n%s", stream)
+	}
+	byIndex, _ := splitBatch(t, lines, sum.Requests)
+	if sum.Completed != sum.Requests {
+		t.Fatalf("%d of %d requests completed:\n%s", sum.Completed, sum.Requests, stream)
+	}
+	for i, l := range byIndex {
+		if i < 0 || i >= sum.Requests {
+			t.Fatalf("line index %d outside [0,%d):\n%s", i, sum.Requests, stream)
+		}
+		switch l.Status {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("line status %d: %+v", l.Status, l)
+		}
+	}
+	return byIndex
+}
+
+// splitValues splits a batch body into its n top-level JSON values, the
+// input lines the stream's indices refer to.
+func splitValues(t *testing.T, body []byte, n int) []json.RawMessage {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	vals := make([]json.RawMessage, 0, n)
+	for dec.More() {
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("splitting an accepted batch %q: %v", body, err)
+		}
+		vals = append(vals, v)
+	}
+	if len(vals) != n {
+		t.Fatalf("%d values in a batch answered with %d lines: %q", len(vals), n, body)
+	}
+	return vals
+}
+
+// verifyBatchResult re-checks a 200 line's result against its input line:
+// the makespan meets the deadline, and on the identical-processor machine
+// the placement is a legal schedule of the input graph (verify.Schedule).
+// Platform placements carry class-stretched slots that only the server's
+// self-check, which knows the platform, re-derives.
+func verifyBatchResult(input, result json.RawMessage) error {
+	var in struct {
+		Graph *struct {
+			Tasks []struct {
+				WeightCycles int64 `json:"weight_cycles"`
+			} `json:"tasks"`
+			Edges [][2]int `json:"edges"`
+		} `json:"graph"`
+		STG      string          `json:"stg"`
+		Platform json.RawMessage `json:"platform"`
+	}
+	var out struct {
+		NumProcs  int     `json:"num_procs"`
+		Deadline  float64 `json:"deadline_sec"`
+		Makespan  float64 `json:"makespan_sec"`
+		Placement []struct {
+			Proc   int32 `json:"proc"`
+			Start  int64 `json:"start_cycles"`
+			Finish int64 `json:"finish_cycles"`
+		} `json:"placement"`
+	}
+	if err := json.Unmarshal(input, &in); err != nil {
+		return fmt.Errorf("decoding the input line: %v", err)
+	}
+	if err := json.Unmarshal(result, &out); err != nil {
+		return fmt.Errorf("decoding the result: %v", err)
+	}
+	if out.Makespan > out.Deadline*(1+1e-9) {
+		return fmt.Errorf("makespan %g s past the deadline %g s", out.Makespan, out.Deadline)
+	}
+	if len(out.Placement) == 0 || len(in.Platform) > 0 {
+		return nil // LIMIT bounds have no placement
+	}
+	var g *dag.Graph
+	var err error
+	if in.Graph != nil {
+		b := dag.NewBuilder("input")
+		for _, tk := range in.Graph.Tasks {
+			b.AddTask(tk.WeightCycles)
+		}
+		for _, e := range in.Graph.Edges {
+			b.AddEdge(e[0], e[1])
+		}
+		g, err = b.Build()
+	} else {
+		g, err = stg.Parse(strings.NewReader(in.STG), "input")
+	}
+	if err != nil {
+		return fmt.Errorf("rebuilding the input graph: %v", err)
+	}
+	if len(out.Placement) != g.NumTasks() {
+		return fmt.Errorf("%d placements for %d tasks", len(out.Placement), g.NumTasks())
+	}
+	// sched.ReadJSON restores the per-processor lists verify cross-checks.
+	type taskJSON struct {
+		ID     int     `json:"id"`
+		Weight int64   `json:"weight_cycles"`
+		Preds  []int32 `json:"preds,omitempty"`
+		Proc   int32   `json:"proc"`
+		Start  int64   `json:"start_cycles"`
+		Finish int64   `json:"finish_cycles"`
+	}
+	doc := struct {
+		Name     string     `json:"name"`
+		NumProcs int        `json:"num_procs"`
+		Makespan int64      `json:"makespan_cycles"`
+		Tasks    []taskJSON `json:"tasks"`
+	}{Name: "result", NumProcs: out.NumProcs}
+	for v, p := range out.Placement {
+		doc.Tasks = append(doc.Tasks, taskJSON{v, g.Weight(v), g.Preds(v), p.Proc, p.Start, p.Finish})
+		doc.Makespan = max(doc.Makespan, p.Finish)
+	}
+	raw, err := json.Marshal(&doc)
+	if err != nil {
+		return err
+	}
+	s, err := sched.ReadJSON(bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	return verify.Schedule(s.Graph, s)
 }

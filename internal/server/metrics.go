@@ -104,12 +104,9 @@ type metrics struct {
 
 	panics uint64 // recovered panics in request/cell execution paths
 
-	sweepCellsOK  uint64 // sweep cells that produced a result
-	sweepCellsErr uint64 // sweep cells that produced an error
-
-	batchLinesOK  uint64     // batch lines that produced a result
-	batchLinesErr uint64     // batch lines that produced an error (invalid lines included)
-	batchItems    *histogram // request lines per /v1/batch call
+	sweepCells outcomes   // sweep cell lines
+	batchLines outcomes   // batch lines (invalid lines count as errors)
+	batchItems *histogram // request lines per /v1/batch call
 
 	runsCancelled uint64 // runs aborted because every waiter departed
 
@@ -163,27 +160,27 @@ func (m *metrics) recordPanic() {
 	m.panics++
 }
 
-// recordSweepCell counts one evaluated sweep cell by outcome.
-func (m *metrics) recordSweepCell(ok bool) {
+// outcomes counts the lines of one stream endpoint by outcome: a result
+// or an error.
+type outcomes struct{ ok, err uint64 }
+
+// recordLine counts one /v1/sweep or /v1/batch line on its endpoint's
+// counter. A batch line that failed before it could execute counts as an
+// error: the client sees an error line either way.
+func (m *metrics) recordLine(o *outcomes, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if ok {
-		m.sweepCellsOK++
+		o.ok++
 	} else {
-		m.sweepCellsErr++
+		o.err++
 	}
 }
 
-// recordBatchLine counts one /v1/batch line by outcome. Invalid lines that
-// never executed count as errors: the client sees an error line either way.
-func (m *metrics) recordBatchLine(ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ok {
-		m.batchLinesOK++
-	} else {
-		m.batchLinesErr++
-	}
+// write renders the counter as one Prometheus series with an outcome label.
+func (o outcomes) write(w io.Writer, name, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	fmt.Fprintf(w, "%s{outcome=\"ok\"} %d\n%s{outcome=\"error\"} %d\n", name, o.ok, name, o.err)
 }
 
 // recordBatch records one whole /v1/batch call with its request-line count,
@@ -362,15 +359,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE lampsd_queue_shed_seconds histogram\n")
 	m.queueShed.write(w, "lampsd_queue_shed_seconds", "")
 
-	fmt.Fprintf(w, "# HELP lampsd_sweep_cells_total Sweep grid cells evaluated, by outcome.\n")
-	fmt.Fprintf(w, "# TYPE lampsd_sweep_cells_total counter\n")
-	fmt.Fprintf(w, "lampsd_sweep_cells_total{outcome=\"ok\"} %d\n", m.sweepCellsOK)
-	fmt.Fprintf(w, "lampsd_sweep_cells_total{outcome=\"error\"} %d\n", m.sweepCellsErr)
-
-	fmt.Fprintf(w, "# HELP lampsd_batch_lines_total Batch request lines served, by outcome.\n")
-	fmt.Fprintf(w, "# TYPE lampsd_batch_lines_total counter\n")
-	fmt.Fprintf(w, "lampsd_batch_lines_total{outcome=\"ok\"} %d\n", m.batchLinesOK)
-	fmt.Fprintf(w, "lampsd_batch_lines_total{outcome=\"error\"} %d\n", m.batchLinesErr)
+	m.sweepCells.write(w, "lampsd_sweep_cells_total", "Sweep grid cells evaluated, by outcome.")
+	m.batchLines.write(w, "lampsd_batch_lines_total", "Batch request lines served, by outcome.")
 
 	fmt.Fprintf(w, "# HELP lampsd_batch_items Request lines per /v1/batch call.\n")
 	fmt.Fprintf(w, "# TYPE lampsd_batch_items histogram\n")

@@ -77,18 +77,23 @@ func canonicalFaultPolicy(name string) (core.FaultPolicy, error) {
 	return "", badRequest("unknown fault policy %q (one of: backup-anywhere, primary-hp-backup-lp)", name)
 }
 
-// faultConfig resolves the request's faults block onto the core form: nil
-// when fault tolerance is off, otherwise K plus the canonical policy (never
-// empty, so digests are stable across request spellings).
-func (req *scheduleRequest) faultConfig() (*core.FaultConfig, error) {
-	if req.Faults == nil || req.Faults.K == 0 {
+// faultConfig validates a faults block and resolves it onto the core form,
+// the one place /v1/schedule, /v1/batch lines and /v1/sweep do either: nil
+// when fault tolerance is off (no block, or k 0), otherwise K plus the
+// canonical policy (never empty, so digests are stable across request
+// spellings). A negative k or an unknown policy is a 400 whatever k is.
+func faultConfig(spec *faultsSpec) (*core.FaultConfig, error) {
+	if spec == nil {
 		return nil, nil
 	}
-	policy, err := canonicalFaultPolicy(req.Faults.Policy)
-	if err != nil {
+	if spec.K < 0 {
+		return nil, badRequest("faults.k must be non-negative, got %d", spec.K)
+	}
+	policy, err := canonicalFaultPolicy(spec.Policy)
+	if err != nil || spec.K == 0 {
 		return nil, err
 	}
-	return &core.FaultConfig{K: req.Faults.K, Policy: policy}, nil
+	return &core.FaultConfig{K: spec.K, Policy: policy}, nil
 }
 
 // graphSpec is the inline JSON task-graph representation.
@@ -153,9 +158,8 @@ func canonicalApproach(name string) (string, error) {
 	return "", badRequest("unknown approach %q (one of: ss, lamps, ss+ps, lamps+ps, limit-sf, limit-mf)", name)
 }
 
-// validate checks the structural invariants shared by every surface that
-// accepts a scheduleRequest — the single-shot endpoint and each line of a
-// /v1/batch stream — so the two reject malformed requests identically.
+// validate checks the structural invariants of a scheduleRequest that
+// decoding leaves open; prepare runs it first.
 func (req *scheduleRequest) validate() error {
 	if (req.Graph == nil) == (req.STG == "") {
 		return badRequest("exactly one of \"graph\" and \"stg\" must be set")
@@ -166,15 +170,47 @@ func (req *scheduleRequest) validate() error {
 	if req.MaxProcs < 0 {
 		return badRequest("max_procs must be non-negative, got %d", req.MaxProcs)
 	}
-	if req.Faults != nil {
-		if req.Faults.K < 0 {
-			return badRequest("faults.k must be non-negative, got %d", req.Faults.K)
-		}
-		if _, err := canonicalFaultPolicy(req.Faults.Policy); err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// prepared is one scheduling problem resolved from its request: the
+// canonical approach, the built graph, the core config and the digest the
+// result cache is keyed by.
+type prepared struct {
+	approach string
+	g        *dag.Graph
+	cfg      core.Config
+	key      string
+}
+
+// prepare resolves one request into its problem: validate, faults,
+// approach, graph, machine, deadline, digest, in that order, so the first
+// fault found is the one reported. /v1/schedule and every /v1/batch line
+// run this one step, so they agree on every derived value and on every
+// error.
+func (s *Server) prepare(req *scheduleRequest) (prepared, error) {
+	if err := req.validate(); err != nil {
+		return prepared{}, err
+	}
+	faults, err := faultConfig(req.Faults)
+	if err != nil {
+		return prepared{}, err
+	}
+	approach, err := canonicalApproach(req.Approach)
+	if err != nil {
+		return prepared{}, err
+	}
+	g, err := s.buildGraph(req.Graph, req.STG)
+	if err != nil {
+		return prepared{}, err
+	}
+	cfg, err := s.machine(req.Platform, faults)
+	if err != nil {
+		return prepared{}, err
+	}
+	cfg.Deadline = deadline(&cfg, g, req.DeadlineSec, req.DeadlineFactor)
+	cfg.MaxProcs = req.MaxProcs
+	return prepared{approach, g, cfg, graphhash.Sum(problem(approach, g, cfg))}, nil
 }
 
 // buildGraph materialises a task graph from exactly one of an inline spec
@@ -216,40 +252,41 @@ func (s *Server) buildGraph(spec *graphSpec, stgText string) (*dag.Graph, error)
 	return b.Build()
 }
 
-// config assembles the core.Config for the request's graph. A platform —
-// the request's own, or else the server default — replaces the single
-// model: Config.Model stays nil so the digest and the engine agree on which
-// machine description is authoritative. A malformed request platform maps
-// to 400.
-func (s *Server) config(req *scheduleRequest, g *dag.Graph) (core.Config, error) {
-	pf := s.opts.Platform
-	if len(req.Platform) > 0 {
-		var err error
-		pf, err = power.LoadPlatformJSON(bytes.NewReader(req.Platform))
+// machine starts a request's core.Config: the machine it is scheduled on —
+// its own platform block, else the server's default platform, else the
+// server's single model — plus the faults and self-check settings. With a
+// platform, Config.Model stays nil so the digest and the engine agree on
+// which machine description is authoritative. A malformed platform block
+// is a 400; /v1/sweep has none and passes nil.
+func (s *Server) machine(platform json.RawMessage, faults *core.FaultConfig) (core.Config, error) {
+	cfg := core.Config{Model: s.opts.Model, Platform: s.opts.Platform, Faults: faults, SelfCheck: s.opts.SelfCheck}
+	if len(platform) > 0 {
+		pf, err := power.LoadPlatformJSON(bytes.NewReader(platform))
 		if err != nil {
 			return core.Config{}, badRequest("invalid platform: %v", err)
 		}
+		cfg.Platform = pf
 	}
-	faults, err := req.faultConfig()
-	if err != nil {
-		return core.Config{}, err
+	if cfg.Platform != nil {
+		cfg.Model = nil
 	}
-	if pf != nil {
-		return core.Config{
-			Platform:  pf,
-			Deadline:  s.resolveDeadlineAt(g, req.DeadlineSec, req.DeadlineFactor, pf.RefFMax()),
-			MaxProcs:  req.MaxProcs,
-			Faults:    faults,
-			SelfCheck: s.opts.SelfCheck,
-		}, nil
+	return cfg, nil
+}
+
+// deadline converts the two deadline forms onto absolute seconds on cfg's
+// machine: sec as-is, or a positive factor times the graph's critical path
+// length at full speed (the platform's reference frequency, else the
+// model's maximum), the paper's parametric form. Every endpoint resolves
+// its deadlines here, so they agree bit for bit.
+func deadline(cfg *core.Config, g *dag.Graph, sec, factor float64) float64 {
+	switch {
+	case factor <= 0:
+		return sec
+	case cfg.Platform != nil:
+		return core.DeadlineFactorPlatform(g, cfg.Platform, factor).Deadline
+	default:
+		return core.DeadlineFactor(g, cfg.Model, factor).Deadline
 	}
-	return core.Config{
-		Model:     s.opts.Model,
-		Deadline:  s.resolveDeadline(g, req.DeadlineSec, req.DeadlineFactor),
-		MaxProcs:  req.MaxProcs,
-		Faults:    faults,
-		SelfCheck: s.opts.SelfCheck,
-	}, nil
 }
 
 // problem maps one resolved (approach, graph, config) triple onto its
@@ -270,34 +307,6 @@ func problem(approach string, g *dag.Graph, cfg core.Config) graphhash.Problem {
 		p.FaultsPolicy = string(cfg.Faults.Policy)
 	}
 	return p
-}
-
-// resolveDeadline converts the two request deadline forms onto absolute
-// seconds: sec is used as-is; a positive factor takes precedence and is
-// interpreted as a multiple of the graph's critical path length at maximum
-// frequency (the paper's parametric form). Shared by the schedule and sweep
-// paths so the two agree bit-for-bit on derived deadlines.
-func (s *Server) resolveDeadline(g *dag.Graph, sec, factor float64) float64 {
-	return s.resolveDeadlineAt(g, sec, factor, s.opts.Model.FMax())
-}
-
-// resolveDeadlineAt is resolveDeadline against an explicit full-speed
-// frequency — the platform's reference frequency on the heterogeneous path.
-func (s *Server) resolveDeadlineAt(g *dag.Graph, sec, factor, fmax float64) float64 {
-	if factor > 0 {
-		return factor * float64(g.CriticalPathLength()) / fmax
-	}
-	return sec
-}
-
-// sweepDeadline resolves a sweep deadline factor against the server's
-// default machine: the platform's reference frequency when one is set,
-// otherwise the single model's maximum frequency.
-func (s *Server) sweepDeadline(g *dag.Graph, factor float64) float64 {
-	if s.opts.Platform != nil {
-		return s.resolveDeadlineAt(g, 0, factor, s.opts.Platform.RefFMax())
-	}
-	return s.resolveDeadline(g, 0, factor)
 }
 
 // scheduleResponse is the body of a successful POST /schedule. Platform is

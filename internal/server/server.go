@@ -302,8 +302,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Flush forwards to the underlying writer so the sweep stream can push
-// cell lines as they complete.
+// Flush forwards to the underlying writer so the NDJSON streams can push
+// their header at once and each line as it completes.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
@@ -328,7 +328,7 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithCancel(r.Context())
 }
 
-// handleSchedule serves POST /schedule and /v1/schedule: validate, hash,
+// handleSchedule serves POST /schedule and /v1/schedule: decode, prepare,
 // then cache hit / coalesce / schedule, in that order of preference.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
@@ -337,26 +337,15 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	approach, err := canonicalApproach(req.Approach)
+	p, err := s.prepare(req)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	g, err := s.buildGraph(req.Graph, req.STG)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	cfg, err := s.config(req, g)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	key := graphhash.Sum(problem(approach, g, cfg))
 
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res := s.execute(ctx, key, approach, g, cfg)
+	res := s.execute(ctx, p.key, p.approach, p.g, p.cfg)
 	if res.err != nil {
 		s.writeError(w, res.err)
 		return
@@ -374,9 +363,10 @@ type execResult struct {
 
 // execute resolves one scheduling problem end to end: cache lookup, then a
 // single-flight coalesced run on the bounded pool, isolated behind a
-// recover barrier. Both the single-shot endpoints and every sweep cell go
-// through this one path, which is what guarantees that a sweep cell and an
-// individual request for the same problem produce byte-identical results.
+// recover barrier. The single-shot endpoints, every batch line and every
+// sweep cell go through this one path, which is what guarantees that a
+// line or cell and an individual request for the same problem produce
+// byte-identical results.
 //
 // ctx bounds only this caller's wait. The run itself executes in the
 // leader's goroutine under the flight's own run context, which is cancelled

@@ -6,11 +6,8 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sync"
 
-	"lamps/internal/core"
 	"lamps/internal/graphhash"
-	"lamps/internal/workpool"
 )
 
 // sweepRequest is the body of POST /v1/sweep: one task graph plus a grid of
@@ -55,31 +52,9 @@ type sweepCell struct {
 	MaxProcs       int     `json:"max_procs"`
 }
 
-// sweepLine is one NDJSON line of the response stream: either a cell result
-// or the trailing summary.
-type sweepLine struct {
-	Cell   *sweepCell      `json:"cell,omitempty"`
-	Status int             `json:"status,omitempty"`
-	Cache  string          `json:"cache,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-
-	Summary *sweepSummary `json:"summary,omitempty"`
-}
-
-// sweepSummary is the final line of every sweep stream.
-type sweepSummary struct {
-	Cells     int  `json:"cells"`
-	Completed int  `json:"completed"`
-	OK        int  `json:"ok"`
-	Errors    int  `json:"errors"`
-	CacheHits int  `json:"cache_hits"`
-	Coalesced int  `json:"coalesced"`
-	TimedOut  bool `json:"timed_out,omitempty"`
-}
-
-// decodeSweepRequest parses and validates a sweep body. Like a schedule
-// body it is read whole first, so any body over the byte limit is a 413.
+// decodeSweepRequest parses and validates a sweep body up to its faults
+// block, which handleSweep resolves next. Like a schedule body it is read
+// whole first, so any body over the byte limit is a 413.
 func decodeSweepRequest(body io.Reader) (*sweepRequest, error) {
 	buf, err := readBody(body)
 	if err != nil {
@@ -119,29 +94,26 @@ func decodeSweepRequest(body io.Reader) (*sweepRequest, error) {
 			return nil, badRequest("max_procs entries must be non-negative, got %d", p)
 		}
 	}
-	if req.Faults != nil {
-		if req.Faults.K < 0 {
-			return nil, badRequest("faults.k must be non-negative, got %d", req.Faults.K)
-		}
-		if _, err := canonicalFaultPolicy(req.Faults.Policy); err != nil {
-			return nil, err
-		}
-	}
 	return &req, nil
 }
 
-// handleSweep serves POST /v1/sweep: it evaluates every cell of the grid in
-// parallel on the shared worker pool and streams one NDJSON line per cell
-// as it completes (completion order, identified by the cell coordinates),
-// followed by a summary line. Cached cells are served from the LRU via the
-// same per-cell digests the schedule endpoint uses, so a cell's "result"
-// field is byte-identical to the body an individual /v1/schedule request
-// for the same problem would return. Per-cell failures (infeasible
-// deadlines, panicking heuristics) are reported in their cell line and do
-// not abort the remaining cells.
+// handleSweep serves POST /v1/sweep: it resolves every cell of the grid up
+// front and answers them through stream, the pipeline /v1/batch shares —
+// one NDJSON line per cell as it completes (completion order, identified by
+// the cell coordinates), then a summary line. Cached cells are served from
+// the LRU via the same per-cell digests the schedule endpoint uses, so a
+// cell's "result" field is byte-identical to the body an individual
+// /v1/schedule request for the same problem would return. Per-cell
+// failures (infeasible deadlines, panicking heuristics) are reported in
+// their cell line and do not abort the remaining cells.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	req, err := decodeSweepRequest(r.Body)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	faults, err := faultConfig(req.Faults)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -158,6 +130,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	// Every cell runs on the server's default machine with the sweep-wide
+	// faults, exactly as a single-shot request with the same block would.
+	base, _ := s.machine(nil, faults) // no platform block, so no error
 
 	type axis struct {
 		sec    float64
@@ -168,7 +143,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		deadlines = append(deadlines, axis{sec: sec})
 	}
 	for _, f := range req.DeadlineFactors {
-		sec := s.sweepDeadline(g, f)
+		sec := deadline(&base, g, 0, f)
 		// A huge factor overflows to +Inf, which no cell line can encode;
 		// refuse it before the stream starts.
 		if math.IsInf(sec, 1) {
@@ -188,131 +163,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Resolve the sweep-wide fault-tolerance request once; every cell
-	// shares it, exactly as a single-shot request with the same block
-	// would. The policy was validated during decode.
-	var faults *core.FaultConfig
-	if req.Faults != nil && req.Faults.K > 0 {
-		policy, perr := canonicalFaultPolicy(req.Faults.Policy)
-		if perr != nil {
-			s.writeError(w, perr)
-			return
-		}
-		faults = &core.FaultConfig{K: req.Faults.K, Policy: policy}
-	}
-
 	// Enumerate the grid and derive each cell's cache key from the shared
-	// graph+machine hash prefix (platform-tagged when the server default
-	// machine is heterogeneous, faults-tagged when tolerance is on, so
-	// sweep cells and single-shot requests agree on every digest).
-	cells := make([]sweepCell, 0, n)
-	cfgs := make([]core.Config, 0, n)
-	keys := make([]string, 0, n)
-	baseCfg := core.Config{Model: s.opts.Model, Faults: faults, SelfCheck: s.opts.SelfCheck}
-	if s.opts.Platform != nil {
-		baseCfg.Model, baseCfg.Platform = nil, s.opts.Platform
-	}
-	hasher := graphhash.NewProblemHasher(problem("", g, baseCfg))
+	// graph+machine hash prefix, so sweep cells and single-shot requests
+	// agree on every digest.
+	cells := make([]sweepCell, n)
+	items := make([]streamItem, n)
+	hasher := graphhash.NewProblemHasher(problem("", g, base))
+	i := 0
 	for _, a := range approaches {
 		for _, d := range deadlines {
 			for _, p := range procs {
-				cells = append(cells, sweepCell{
-					Index:          len(cells),
-					Approach:       a,
-					DeadlineSec:    d.sec,
-					DeadlineFactor: d.factor,
-					MaxProcs:       p,
-				})
-				cfg := baseCfg
+				cells[i] = sweepCell{Index: i, Approach: a, DeadlineSec: d.sec, DeadlineFactor: d.factor, MaxProcs: p}
+				cfg := base
 				cfg.Deadline, cfg.MaxProcs = d.sec, p
-				cfgs = append(cfgs, cfg)
-				keys = append(keys, hasher.Cell(d.sec, p, a))
+				items[i] = streamItem{prepared: prepared{a, g, cfg, hasher.Cell(d.sec, p, a)}, cell: &cells[i]}
+				i++
 			}
 		}
 	}
-
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	var (
-		wmu     sync.Mutex
-		sum     = sweepSummary{Cells: n}
-		encFail error
-	)
-	writeLine := func(line sweepLine) {
-		// Pooled encoding: Encoder.Encode emits Marshal + '\n' byte for
-		// byte, so the wire stream is unchanged — one Write per line, no
-		// per-line marshal buffer.
-		e := getEncoder()
-		defer e.put()
-		err := e.enc.Encode(&line)
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err != nil {
-			// Unreachable for these types; recorded rather than swallowed.
-			encFail = err
-			return
-		}
-		w.Write(e.buf.Bytes())
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	workers := s.pool.Cap()
-	mapErr := workpool.MapCtx(ctx, n, workers, func(i int) error {
-		res := s.execute(ctx, keys[i], cells[i].Approach, g, cfgs[i])
-		line := sweepLine{Cell: &cells[i], Cache: res.source}
-		wmu.Lock()
-		sum.Completed++
-		wmu.Unlock()
-		if res.err != nil {
-			ae := classify(res.err)
-			line.Status, line.Error = ae.status, ae.msg
-			s.metrics.recordSweepCell(false)
-			wmu.Lock()
-			sum.Errors++
-			wmu.Unlock()
-		} else {
-			// The schedule body carries a trailing newline for curl
-			// friendliness; the embedded raw message drops it and nothing
-			// else, so byte-for-byte comparisons against /v1/schedule only
-			// need to re-append it.
-			line.Status = res.status
-			line.Result = json.RawMessage(trimNewline(res.body))
-			s.metrics.recordSweepCell(true)
-			wmu.Lock()
-			sum.OK++
-			switch res.source {
-			case "hit":
-				sum.CacheHits++
-			case "shared":
-				sum.Coalesced++
-			}
-			wmu.Unlock()
-		}
-		writeLine(line)
-		return nil // cell failures never abort the sweep
-	})
-	// The cell callback never returns an error, so mapErr is necessarily
-	// the context expiring mid-grid; cells that were never dispatched are
-	// reflected by Completed < Cells.
-	if mapErr != nil {
-		sum.TimedOut = true
-	}
-	if encFail != nil {
-		s.log.Error("encoding sweep line", "err", encFail)
-	}
-	writeLine(sweepLine{Summary: &sum})
-}
-
-func trimNewline(b []byte) []byte {
-	if len(b) > 0 && b[len(b)-1] == '\n' {
-		return b[:len(b)-1]
-	}
-	return b
+	s.stream(w, r, items, &s.metrics.sweepCells, streamSummary{Cells: n})
 }
