@@ -10,6 +10,7 @@ import (
 	"lamps/internal/dag"
 	"lamps/internal/power"
 	"lamps/internal/sched"
+	"lamps/internal/verify"
 )
 
 // coarseWeight is the paper's coarse-grain scaling: weight 1 = 3.1e6 cycles
@@ -75,7 +76,7 @@ func TestSSBasics(t *testing.T) {
 	if r.NumProcs != 3 {
 		t.Errorf("S&S NumProcs = %d, want 3", r.NumProcs)
 	}
-	if err := r.Schedule.Validate(); err != nil {
+	if err := verify.Schedule(g, r.Schedule); err != nil {
 		t.Errorf("schedule invalid: %v", err)
 	}
 	// Deadline 1.5x CPL: the schedule has makespan = CPL, so a stretch
@@ -312,7 +313,7 @@ func TestCustomPriorityPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Schedule.Validate(); err != nil {
+	if err := verify.Schedule(g, r.Schedule); err != nil {
 		t.Errorf("FIFO-policy schedule invalid: %v", err)
 	}
 }
@@ -386,7 +387,7 @@ func TestPropertyDominanceChain(t *testing.T) {
 			}
 			res[a] = r
 			if r.Schedule != nil {
-				if err := r.Schedule.Validate(); err != nil {
+				if err := verify.Schedule(g, r.Schedule); err != nil {
 					t.Logf("%s: invalid schedule: %v", a, err)
 					return false
 				}

@@ -557,6 +557,30 @@ func (e *Engine) lamps(ctx context.Context, approach string, g *dag.Graph, ps bo
 
 // lamps is the LAMPS search within an open run.
 func (r *run) lamps(approach string, g *dag.Graph, ps bool) (*Result, error) {
+	cands, err := r.lampsCandidates(g)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseProfiles(cands)
+	r.evalAll(cands, ps)
+	best, err := reduce(r, approach, g, cands)
+	if err != nil {
+		return nil, err
+	}
+	best.Stats = r.stats(cands)
+	if err := r.selfCheckResult(best, ps); err != nil {
+		return nil, err
+	}
+	return best, nil
+}
+
+// lampsCandidates is the candidate search of LAMPS and of the per-task DVS
+// extension: phase 1 finds the minimal feasible processor count, the
+// saturation search the count past which adding processors stops
+// shortening the schedule, and every count in between is a candidate, plus
+// N_max when it lies beyond. It builds every candidate's schedule and
+// returns the set, which is the arena's candidate slice.
+func (r *run) lampsCandidates(g *dag.Graph) ([]candidate, error) {
 	r.obs.phase(PhaseMinProcs)
 	deadlineCycles := r.cfg.Deadline * r.fref
 	hi := r.cfg.maxUsefulProcs(g)
@@ -587,20 +611,7 @@ func (r *run) lamps(approach string, g *dag.Graph, ps bool) (*Result, error) {
 		cands = append(cands, candidate{n: hi})
 	}
 	r.a.cands = cands
-	defer releaseProfiles(cands)
-	if err := r.buildAll(cands); err != nil {
-		return nil, err
-	}
-	r.evalAll(cands, ps)
-	best, err := reduce(r, approach, g, cands)
-	if err != nil {
-		return nil, err
-	}
-	best.Stats = r.stats(cands)
-	if err := r.selfCheckResult(best, ps); err != nil {
-		return nil, err
-	}
-	return best, nil
+	return cands, r.buildAll(cands)
 }
 
 // limit wraps the closed-form LIMIT-SF/MF bounds with the engine's context

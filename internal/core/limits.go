@@ -17,135 +17,96 @@ import (
 // satisfies f ≥ CPL/D. No schedule whose processors all run at one constant
 // frequency can consume less energy, independently of the scheduling
 // algorithm.
+//
+// On a platform of several classes every work cycle is charged at the
+// cheapest class's energy per cycle at the chosen grid point — no placement
+// can execute a cycle for less — at the price of being looser than the
+// one-class bound when classes differ.
 func LimitSF(g *dag.Graph, cfg Config) (*Result, error) {
-	if err := cfg.validate(g); err != nil {
+	pf, err := cfg.limitMachine(g)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.heterogeneous() {
-		return limitSFPlatform(g, cfg)
-	}
-	m := cfg.model()
-	need := float64(g.CriticalPathLength()) / cfg.Deadline
-	lvl, err := m.LevelForFrequency(need)
+	top, err := pf.PointForFrequency(float64(g.CriticalPathLength()) / cfg.Deadline)
 	if err != nil {
 		return nil, fmt.Errorf("%w: CPL %d cycles does not fit %.4gs at f_max",
 			ErrInfeasible, g.CriticalPathLength(), cfg.Deadline)
 	}
-	// Among the feasible levels 0..lvl.Index, energy per cycle is minimised
-	// at the critical level; if the deadline forbids descending that far,
-	// the slowest feasible level is optimal (energy per cycle decreases
-	// monotonically from f_max down to the critical frequency).
-	if crit := m.CriticalLevel(); crit.Index < lvl.Index {
-		lvl = crit
+	// Points 0..top.Index are feasible. On one ladder energy per cycle falls
+	// monotonically from f_max down to the critical level, so the slower of
+	// that level and top is optimal; across classes the interleaved ladders
+	// break the monotonicity, so every feasible point is scanned.
+	points := pf.Points()[:top.Index+1]
+	if pf.IsHomogeneous() {
+		i := min(top.Index, pf.ClassModel(0).CriticalLevel().Index)
+		points = points[i : i+1]
 	}
-	e := float64(g.TotalWork()) * m.EnergyPerCycle(lvl)
-	return &Result{
-		Approach: ApproachLimitSF,
-		Graph:    g,
-		Level:    lvl,
-		Energy: energy.Breakdown{
-			Active:     e,
-			ActiveTime: float64(g.TotalWork()) / lvl.Freq,
-		},
-		Stats: Stats{LevelsEvaluated: 1},
-	}, nil
-}
-
-// LimitMF computes the paper's multiple-frequency lower bound (Section
-// 4.4): every task runs at the critical frequency and idle processors
-// consume nothing, so the energy is W times the minimum energy per cycle.
-// This is an absolute lower bound even when processors may run at different
-// frequencies and those frequencies may change over time; note that the
-// implied schedule may miss the deadline (the bound ignores it).
-func LimitMF(g *dag.Graph, cfg Config) (*Result, error) {
-	if err := cfg.validate(g); err != nil {
-		return nil, err
-	}
-	if cfg.heterogeneous() {
-		return limitMFPlatform(g, cfg)
-	}
-	m := cfg.model()
-	lvl := m.CriticalLevel()
-	e := float64(g.TotalWork()) * m.EnergyPerCycle(lvl)
-	return &Result{
-		Approach: ApproachLimitMF,
-		Graph:    g,
-		Level:    lvl,
-		Energy: energy.Breakdown{
-			Active:     e,
-			ActiveTime: float64(g.TotalWork()) / lvl.Freq,
-		},
-		Stats: Stats{LevelsEvaluated: 1},
-	}, nil
-}
-
-// limitSFPlatform generalises LIMIT-SF to a heterogeneous platform: among
-// the grid points whose timeline frequency still fits the critical path in
-// the deadline (best case: the whole critical path on the reference class),
-// pick the one minimising W times the *cheapest* class's energy per cycle.
-// Charging every work cycle at the cheapest class is what keeps this a true
-// lower bound — no placement can execute a cycle for less — at the price of
-// being looser than the homogeneous bound when classes differ.
-func limitSFPlatform(g *dag.Graph, cfg Config) (*Result, error) {
-	pf := cfg.Platform
-	need := float64(g.CriticalPathLength()) / cfg.Deadline
-	min, err := pf.PointForFrequency(need)
-	if err != nil {
-		return nil, fmt.Errorf("%w: CPL %d cycles does not fit %.4gs at the reference f_max",
-			ErrInfeasible, g.CriticalPathLength(), cfg.Deadline)
-	}
-	// Per-class energy per cycle is not monotone across grid points sourced
-	// from different ladders, so scan every feasible point instead of jumping
-	// to the critical level.
-	points := pf.Points()[:min.Index+1]
 	best, bestE := points[0], minEnergyPerCycle(pf, points[0])
 	for _, pt := range points[1:] {
 		if e := minEnergyPerCycle(pf, pt); e < bestE {
 			best, bestE = pt, e
 		}
 	}
-	e := float64(g.TotalWork()) * bestE
-	lvl := best.Levels[pf.RefClass()]
-	return &Result{
-		Approach: ApproachLimitSF,
-		Graph:    g,
-		Level:    lvl,
-		Platform: pf,
-		Point:    best,
-		Energy: energy.Breakdown{
-			Active:     e,
-			ActiveTime: float64(g.TotalWork()) / best.TimelineFreq,
-		},
-		Stats: Stats{LevelsEvaluated: len(points)},
-	}, nil
+	return limitResult(ApproachLimitSF, g, &cfg, best.Levels[pf.RefClass()], best, bestE,
+		best.TimelineFreq, len(points)), nil
 }
 
-// limitMFPlatform generalises LIMIT-MF: with per-processor time-varying
-// frequencies and free idle processors, no cycle can cost less than the
-// cheapest class's critical-level energy per cycle.
-func limitMFPlatform(g *dag.Graph, cfg Config) (*Result, error) {
-	pf := cfg.Platform
-	bestC := 0
-	bestE := pf.ClassModel(0).EnergyPerCycle(pf.ClassModel(0).CriticalLevel())
+// LimitMF computes the paper's multiple-frequency lower bound (Section
+// 4.4): every task runs at the critical frequency and idle processors
+// consume nothing, so the energy is W times the minimum energy per cycle —
+// on a platform, the cheapest class's at its critical level. This is an
+// absolute lower bound even when processors may run at different
+// frequencies and those frequencies may change over time; note that the
+// implied schedule may miss the deadline (the bound ignores it).
+func LimitMF(g *dag.Graph, cfg Config) (*Result, error) {
+	pf, err := cfg.limitMachine(g)
+	if err != nil {
+		return nil, err
+	}
+	lvl := pf.ClassModel(0).CriticalLevel()
+	bestE := pf.ClassModel(0).EnergyPerCycle(lvl)
 	for c := 1; c < pf.NumClasses(); c++ {
 		m := pf.ClassModel(c)
 		if e := m.EnergyPerCycle(m.CriticalLevel()); e < bestE {
-			bestC, bestE = c, e
+			lvl, bestE = m.CriticalLevel(), e
 		}
 	}
-	lvl := pf.ClassModel(bestC).CriticalLevel()
-	e := float64(g.TotalWork()) * bestE
-	return &Result{
-		Approach: ApproachLimitMF,
+	return limitResult(ApproachLimitMF, g, &cfg, lvl, power.OperatingPoint{}, bestE, lvl.Freq, 1), nil
+}
+
+// limitMachine validates cfg and returns the machine a LIMIT bound is
+// computed on: the configured platform, or a one-class platform of the
+// model (the bounds read only its ladder, so one processor suffices).
+func (c *Config) limitMachine(g *dag.Graph) (*power.Platform, error) {
+	if err := c.validate(g); err != nil {
+		return nil, err
+	}
+	if c.Platform != nil {
+		return c.Platform, nil
+	}
+	pf, err := power.Homogeneous(1, c.model())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	return pf, nil
+}
+
+// limitResult reports a closed-form bound: the graph's W work cycles at
+// epc joules each, executed at freq. Only a heterogeneous result carries
+// the platform and its grid point.
+func limitResult(approach string, g *dag.Graph, cfg *Config, lvl power.Level, pt power.OperatingPoint, epc, freq float64, levels int) *Result {
+	w := float64(g.TotalWork())
+	res := &Result{
+		Approach: approach,
 		Graph:    g,
 		Level:    lvl,
-		Platform: pf,
-		Energy: energy.Breakdown{
-			Active:     e,
-			ActiveTime: float64(g.TotalWork()) / lvl.Freq,
-		},
-		Stats: Stats{LevelsEvaluated: 1},
-	}, nil
+		Energy:   energy.Breakdown{Active: w * epc, ActiveTime: w / freq},
+		Stats:    Stats{LevelsEvaluated: levels},
+	}
+	if cfg.heterogeneous() {
+		res.Platform, res.Point = cfg.Platform, pt
+	}
+	return res
 }
 
 // minEnergyPerCycle returns the cheapest class's energy per cycle at pt.

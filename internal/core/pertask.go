@@ -96,27 +96,8 @@ func (e *Engine) PerTask(ctx context.Context, g *dag.Graph, ps bool) (*PerTaskRe
 		return nil, err
 	}
 	defer r.a.runGuard()
-	r.obs.phase(PhaseMinProcs)
-	deadlineCycles := r.cfg.Deadline * r.fref
-	hi := r.cfg.maxUsefulProcs(g)
-	nmin, err := r.sc.minProcsForDeadline(deadlineCycles, hi)
+	cands, err := r.lampsCandidates(g)
 	if err != nil {
-		return nil, err
-	}
-	r.obs.phase(PhaseSaturation)
-	nstop, err := r.sc.saturationPoint(nmin, hi)
-	if err != nil {
-		return nil, err
-	}
-	cands := r.a.cands[:0]
-	for n := nmin; n <= nstop; n++ {
-		cands = append(cands, candidate{n: n})
-	}
-	if nstop < hi {
-		cands = append(cands, candidate{n: hi})
-	}
-	r.a.cands = cands
-	if err := r.buildAll(cands); err != nil {
 		return nil, err
 	}
 

@@ -131,7 +131,7 @@ func TestEdgeSingleTask(t *testing.T) {
 
 // TestEdgeZeroSlack: deadline exactly equal to the stretched makespan of a
 // gap-free chain. There is no idle time, no sleep, no shutdown — the total
-// is purely active energy, identically under PS and IgnoreIdle.
+// is purely active energy, identically with and without PS.
 func TestEdgeZeroSlack(t *testing.T) {
 	m := power.Default70nm()
 	g := chainGraph(t, 2_000_000, 5_000_000, 1_300_000)
@@ -143,7 +143,7 @@ func TestEdgeZeroSlack(t *testing.T) {
 		for _, lvl := range m.Levels() {
 			deadline := float64(s.Makespan) / lvl.Freq
 			var breakdowns []Breakdown
-			for _, opts := range []Options{{}, {PS: true}, {IgnoreIdle: true}} {
+			for _, opts := range []Options{{}, {PS: true}} {
 				b, err := Evaluate(s, m, lvl, deadline, opts)
 				if err != nil {
 					t.Fatalf("procs=%d lvl %d opts=%+v: %v", nprocs, lvl.Index, opts, err)
@@ -252,7 +252,7 @@ func TestEdgeGapProfileReuse(t *testing.T) {
 	for si, s := range schedules {
 		p.Reset(s)
 		for _, lvl := range m.Levels() {
-			for _, opts := range []Options{{}, {PS: true}, {IgnoreIdle: true}} {
+			for _, opts := range []Options{{}, {PS: true}} {
 				deadline := float64(s.Makespan) / lvl.Freq * 1.8
 				want, err1 := Evaluate(s, m, lvl, deadline, opts)
 				got, err2 := p.Evaluate(m, lvl, deadline, opts)

@@ -36,9 +36,6 @@ type Options struct {
 	// PS enables processor shutdown: idle gaps longer than the break-even
 	// time are served by deep sleep at the cost of the shutdown overhead.
 	PS bool
-	// IgnoreIdle makes idle gaps free. Used only by the LIMIT-SF/LIMIT-MF
-	// lower bounds, where idle processors are assumed to consume no energy.
-	IgnoreIdle bool
 }
 
 // Breakdown itemises where the energy of a schedule goes, in joules.

@@ -186,28 +186,6 @@ func TestPSKeepsShortGapIdle(t *testing.T) {
 	}
 }
 
-func TestIgnoreIdle(t *testing.T) {
-	m := power.Default70nm()
-	g := coarseFig4a(t)
-	s, err := sched.ListEDF(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lvl := m.CriticalLevel()
-	deadline := float64(s.Makespan)/lvl.Freq + 1
-	b, err := Evaluate(s, m, lvl, deadline, Options{IgnoreIdle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Idle != 0 || b.Sleep != 0 || b.Overhead != 0 {
-		t.Errorf("IgnoreIdle left non-active terms: %+v", b)
-	}
-	want := float64(g.TotalWork()) * m.EnergyPerCycle(lvl)
-	if !approx(b.Total(), want, 1e-12) {
-		t.Errorf("Total = %g, want W*E_cycle = %g", b.Total(), want)
-	}
-}
-
 func TestMinFeasibleLevel(t *testing.T) {
 	m := power.Default70nm()
 	g := coarseFig4a(t)

@@ -51,7 +51,7 @@ func heteroSchedule(t testing.TB, pf *power.Platform, seed int64, size int) *sch
 // behaviour-preservation contract: on a single-class platform, whose grid is
 // the model ladder bit for bit, ResetPlatform + EvaluatePoint must reproduce
 // Reset + Evaluate exactly — every Breakdown field bit-identical — across
-// random schedules, all grid points, PS on/off/IgnoreIdle and deadlines from
+// random schedules, all grid points, PS on and off and deadlines from
 // exact fit to 8x slack.
 func TestEvaluatePointHomogeneousParity(t *testing.T) {
 	m := power.Default70nm()
@@ -70,7 +70,7 @@ func TestEvaluatePointHomogeneousParity(t *testing.T) {
 			base := float64(s.Makespan) / lvl.Freq
 			for _, slack := range []float64{1, 1.5, 8} {
 				deadline := base * slack
-				for _, opts := range []Options{{}, {PS: true}, {IgnoreIdle: true}} {
+				for _, opts := range []Options{{}, {PS: true}} {
 					want, errWant := legacy.Evaluate(m, lvl, deadline, opts)
 					got, errGot := plat.EvaluatePoint(pf, pt, deadline, opts)
 					if (errGot == nil) != (errWant == nil) {

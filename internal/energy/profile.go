@@ -282,9 +282,6 @@ func (p *GapProfile) evaluate(m *power.Model, lvl *power.Level, pf *power.Platfo
 		activeT := float64(cg.busyWork) / lvl.Freq
 		b.ActiveTime += activeT
 		b.Active += activeT * m.LevelPower(*lvl)
-		if opts.IgnoreIdle {
-			continue
-		}
 
 		// Intra-slot idle: the slot time not covered by execution (ceil
 		// rounding of scaled weights plus discrete-level headroom). Zero by

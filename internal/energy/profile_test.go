@@ -21,9 +21,6 @@ func evaluatePerGapWalk(s *sched.Schedule, m *power.Model, lvl power.Level, dead
 	}
 	b.ActiveTime = float64(s.BusyCycles()) / lvl.Freq
 	b.Active = b.ActiveTime * m.LevelPower(lvl)
-	if opts.IgnoreIdle {
-		return b, nil
-	}
 	horizon := int64(deadlineSec * lvl.Freq)
 	if horizon < s.Makespan {
 		horizon = s.Makespan
@@ -60,7 +57,7 @@ func requireIdenticalBreakdowns(t *testing.T, ctx string, got, want Breakdown) {
 
 // TestGapProfileParity is the energy half of the kernel's differential
 // parity test: on random schedules, at every operating point, with PS on and
-// off, with IgnoreIdle, and across deadlines from exact-fit to 8x slack, the
+// off, and across deadlines from exact-fit to 8x slack, the
 // O(log G) GapProfile evaluation must be bit-identical — every Breakdown
 // field, shutdown counts included — to the linear per-gap reference walk and
 // to the package-level Evaluate. The same profile is Reset across schedules
@@ -76,7 +73,7 @@ func TestGapProfileParity(t *testing.T) {
 			base := float64(s.Makespan) / lvl.Freq
 			for _, slack := range []float64{1, 1.0001, 1.5, 2, 8} {
 				deadline := base * slack
-				for _, opts := range []Options{{}, {PS: true}, {IgnoreIdle: true}} {
+				for _, opts := range []Options{{}, {PS: true}} {
 					got, errGot := p.Evaluate(m, lvl, deadline, opts)
 					want, errWant := evaluatePerGapWalk(s, m, lvl, deadline, opts)
 					if (errGot == nil) != (errWant == nil) {

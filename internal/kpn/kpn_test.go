@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lamps/internal/sched"
+	"lamps/internal/verify"
 )
 
 func TestFig1Unroll(t *testing.T) {
@@ -56,7 +57,7 @@ func TestUnrollSchedulable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
+	if err := verify.Schedule(g, s); err != nil {
 		t.Errorf("schedule invalid: %v", err)
 	}
 	// Every deadline is loose enough here; all output tasks must meet them.

@@ -13,33 +13,11 @@ import (
 	"lamps/internal/verify"
 )
 
-// fig4a rebuilds the paper's running example for the backup tests (the
-// in-package helper is invisible from the external test package).
-func fig4a(t testing.TB) *dag.Graph {
-	t.Helper()
-	b := dag.NewBuilder("fig4a")
-	t1 := b.AddLabeledTask(2, "T1")
-	t2 := b.AddLabeledTask(6, "T2")
-	t3 := b.AddLabeledTask(4, "T3")
-	t4 := b.AddLabeledTask(4, "T4")
-	t5 := b.AddLabeledTask(2, "T5")
-	b.AddEdge(t1, t2)
-	b.AddEdge(t1, t3)
-	b.AddEdge(t1, t4)
-	b.AddEdge(t2, t5)
-	b.AddEdge(t3, t5)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	return g
-}
-
 // TestPlanBackupsFig4a pins the plan's shape on the paper's running
 // example: every backup avoids its primary's processor, starts at or after
 // the detection point, and the whole plan passes the independent verifier.
 func TestPlanBackupsFig4a(t *testing.T) {
-	g := fig4a(t)
+	g := buildFig4a(t)
 	s, err := sched.ListEDF(g, 3)
 	if err != nil {
 		t.Fatalf("ListEDF: %v", err)
@@ -70,7 +48,7 @@ func TestPlanBackupsFig4a(t *testing.T) {
 // TestPlanBackupsSingleProcessor asserts the infeasibility signal: with one
 // processor there is nowhere to put any backup.
 func TestPlanBackupsSingleProcessor(t *testing.T) {
-	g := fig4a(t)
+	g := buildFig4a(t)
 	s, err := sched.ListEDF(g, 1)
 	if err != nil {
 		t.Fatalf("ListEDF: %v", err)
@@ -83,7 +61,7 @@ func TestPlanBackupsSingleProcessor(t *testing.T) {
 // TestPlanBackupsUnknownPolicy asserts policy validation; the empty policy
 // must resolve to backup-anywhere rather than erroring.
 func TestPlanBackupsUnknownPolicy(t *testing.T) {
-	g := fig4a(t)
+	g := buildFig4a(t)
 	s, err := sched.ListEDF(g, 2)
 	if err != nil {
 		t.Fatalf("ListEDF: %v", err)
@@ -106,7 +84,7 @@ func TestPlanBackupsUnknownPolicy(t *testing.T) {
 // backup must land outside the reference class.
 func TestPlanBackupsPolicyRestriction(t *testing.T) {
 	pf := testPlatform(t)
-	g := fig4a(t)
+	g := buildFig4a(t)
 	k := sched.Scheduler{}
 	var s sched.Schedule
 	if err := k.ScheduleIntoPlatform(&s, g, pf, pf.NumProcs(), sched.LPTPriorities(g), nil); err != nil {

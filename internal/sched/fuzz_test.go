@@ -1,27 +1,33 @@
-package sched
+package sched_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"lamps/internal/sched"
 	"lamps/internal/taskgen"
+	"lamps/internal/verify"
 )
 
 // FuzzReadJSON feeds arbitrary bytes to the schedule deserialiser: it must
-// never panic, and every accepted document must pass full validation.
+// never panic, and every schedule it restores is well-formed enough for the
+// independent verifier to judge — verify.Schedule accepts it or reports an
+// ErrViolation, and never panics or fails any other way.
 func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"name":"x","num_procs":1,"makespan_cycles":5,"tasks":[{"id":0,"weight_cycles":5,"proc":0,"start_cycles":0,"finish_cycles":5}]}`)
 	f.Add(`{"name":"","num_procs":2,"makespan_cycles":0,"tasks":[]}`)
 	f.Add(`{`)
 	f.Add(`[]`)
 	f.Add(`{"tasks":[{"id":0,"preds":[0]}]}`)
+	f.Add(`{"name":"x","num_procs":1,"makespan_cycles":8,"tasks":[{"id":0,"weight_cycles":5,"proc":0,"start_cycles":0,"finish_cycles":8}]}`)
 	f.Fuzz(func(t *testing.T, in string) {
-		s, err := ReadJSON(strings.NewReader(in))
+		s, err := sched.ReadJSON(strings.NewReader(in))
 		if err != nil {
 			return
 		}
-		if verr := s.Validate(); verr != nil {
-			t.Fatalf("accepted schedule fails validation: %v", verr)
+		if verr := verify.Schedule(s.Graph, s); verr != nil && !errors.Is(verr, verify.ErrViolation) {
+			t.Fatalf("restored schedule cannot be judged: %v", verr)
 		}
 	})
 }
@@ -31,9 +37,9 @@ func FuzzReadJSON(f *testing.F) {
 // data so the pending-heap admission path — tasks whose predecessors have
 // finished but whose release time has not arrived — is exercised from the
 // very first run, not only after the fuzzer mutates its way there. For every
-// input the schedule must validate, every task must start at or after its
-// release time, and a reused Scheduler scratch must reproduce the one-shot
-// result exactly.
+// input the schedule must pass the verifier with its release times and
+// keep the finish-order contract, and a reused Scheduler scratch must
+// reproduce the one-shot result exactly.
 func FuzzListScheduleReleases(f *testing.F) {
 	f.Add(uint16(1), uint8(0), int64(1), uint8(1), []byte(nil))
 	f.Add(uint16(12), uint8(0), int64(7), uint8(3), []byte{5, 0, 200, 17, 42})
@@ -48,7 +54,7 @@ func FuzzListScheduleReleases(f *testing.F) {
 		}
 		n := g.NumTasks()
 		nprocs := 1 + int(rawProcs)%16
-		prio := EDFPriorities(g, 0)
+		prio := sched.EDFPriorities(g, 0)
 		var release []int64
 		if len(relData) > 0 {
 			release = make([]int64, n)
@@ -56,22 +62,20 @@ func FuzzListScheduleReleases(f *testing.F) {
 				release[v] = int64(relData[v%len(relData)]) * 31
 			}
 		}
-		s, err := ListScheduleReleases(g, nprocs, prio, release)
+		s, err := sched.ListScheduleReleases(g, nprocs, prio, release)
 		if err != nil {
 			t.Fatalf("ListScheduleReleases: %v", err)
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("schedule fails validation: %v", err)
+		if err := verify.ScheduleWithin(g, s, verify.ScheduleOptions{Release: release}); err != nil {
+			t.Fatal(err)
 		}
-		for v := 0; v < n; v++ {
-			if release != nil && s.Start[v] < release[v] {
-				t.Fatalf("task %d starts at %d before its release %d", v, s.Start[v], release[v])
-			}
+		if err := checkFinishOrder(s); err != nil {
+			t.Fatal(err)
 		}
 		// A reused kernel must be deterministic and identical to the one-shot
 		// wrapper, including the per-processor dispatch lists.
-		var k Scheduler
-		var r Schedule
+		var k sched.Scheduler
+		var r sched.Schedule
 		for round := 0; round < 2; round++ {
 			if err := k.ScheduleInto(&r, g, nprocs, prio, release); err != nil {
 				t.Fatalf("ScheduleInto round %d: %v", round, err)

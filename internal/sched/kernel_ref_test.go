@@ -11,6 +11,7 @@ import (
 	"lamps/internal/power"
 	"lamps/internal/sched"
 	"lamps/internal/taskgen"
+	"lamps/internal/verify"
 )
 
 // platformScheduleReference is ScheduleIntoPlatform as it was before the
@@ -114,9 +115,8 @@ func platformScheduleReference(g *dag.Graph, pf *power.Platform, nprocs int, pri
 }
 
 // checkFinishOrder reports whether s.FinishOrder() is a permutation of the
-// tasks sorted by (Finish, task). Schedule.Validate checks the same, but
-// it also requires durations equal to the weights, which platform
-// schedules do not have.
+// tasks sorted by (Finish, task): the kernels' contract with the backup
+// planner, which the verifier does not read.
 func checkFinishOrder(s *sched.Schedule) error {
 	order := s.FinishOrder()
 	if len(order) != len(s.Finish) {
@@ -189,8 +189,11 @@ func FuzzScheduleIntoMatchesReference(f *testing.F) {
 			if err := k.ScheduleInto(&s, g, nprocs, p, release); err != nil {
 				t.Fatalf("round %d: ScheduleInto: %v", round, err)
 			}
-			if err := s.Validate(); err != nil {
-				t.Fatalf("round %d: ScheduleInto schedule invalid: %v", round, err)
+			if err := verify.ScheduleWithin(g, &s, verify.ScheduleOptions{Release: release}); err != nil {
+				t.Fatalf("round %d: ScheduleInto: %v", round, err)
+			}
+			if err := checkFinishOrder(&s); err != nil {
+				t.Fatalf("round %d: ScheduleInto: %v", round, err)
 			}
 			requireEqualSchedules(t, listScheduleReference(g, nprocs, p, release), &s, nprocs)
 

@@ -14,6 +14,7 @@ import (
 	"lamps/internal/power"
 	"lamps/internal/sched"
 	"lamps/internal/taskgen"
+	"lamps/internal/verify"
 )
 
 // ---------------------------------------------------------------------------
@@ -275,8 +276,11 @@ func TestScheduleIntoParity(t *testing.T) {
 		if err := k.ScheduleInto(&reused, g, nprocs, prio, release); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		if err := reused.Validate(); err != nil {
-			t.Fatalf("iter %d: kernel schedule invalid: %v", iter, err)
+		if err := verify.ScheduleWithin(g, &reused, verify.ScheduleOptions{Release: release}); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		if err := checkFinishOrder(&reused); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
 		}
 		requireEqualSchedules(t, ref, &reused, nprocs)
 
@@ -419,9 +423,10 @@ func TestGapsTileHorizon(t *testing.T) {
 // TestFinishOrderContract pins Schedule.FinishOrder. On kernel schedules
 // with equal finish times and with releases, homogeneous and on a
 // two-class platform, it is a permutation sorted by (Finish, task).
-// CloneCompact and a WriteJSON→ReadJSON round trip preserve it, and the
-// backup planner, which walks it, plans all three copies bit for bit the
-// same. A Schedule assembled field by field has no finish order, and Plan
+// CloneCompact and a WriteJSON→ReadJSON round trip preserve it — the
+// restored copy, class-stretched slots included, passes the verifier on
+// its machine — and the backup planner, which walks it, plans all three
+// copies bit for bit the same. A Schedule assembled field by field has no finish order, and Plan
 // refuses it.
 func TestFinishOrderContract(t *testing.T) {
 	// Twelve tasks of weights 2 and 4 on three processors finish in groups
@@ -474,20 +479,23 @@ func TestFinishOrderContract(t *testing.T) {
 			t.Fatalf("%s: no two tasks finish together; the case does not test the tie-break", tc.name)
 		}
 
-		copies := []*sched.Schedule{&s, s.CloneCompact()}
-		if tc.pf == nil {
-			// ReadJSON validates durations against the weights, which only
-			// homogeneous schedules satisfy.
-			var buf bytes.Buffer
-			if err := s.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			r, err := sched.ReadJSON(&buf)
-			if err != nil {
-				t.Fatalf("%s: ReadJSON: %v", tc.name, err)
-			}
-			copies = append(copies, r)
+		var buf bytes.Buffer
+		if err := s.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
 		}
+		r, err := sched.ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("%s: ReadJSON: %v", tc.name, err)
+		}
+		if tc.pf == nil {
+			err = verify.ScheduleWithin(r.Graph, r, verify.ScheduleOptions{Release: tc.release})
+		} else {
+			err = verify.PlatformScheduleWithin(r.Graph, tc.pf, r, verify.ScheduleOptions{Release: tc.release})
+		}
+		if err != nil {
+			t.Fatalf("%s: restored schedule: %v", tc.name, err)
+		}
+		copies := []*sched.Schedule{&s, s.CloneCompact(), r}
 		policy := sched.BackupAnywhere
 		if tc.pf != nil {
 			policy = sched.PrimaryHPBackupLP

@@ -1,4 +1,4 @@
-package sched
+package sched_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lamps/internal/power"
+	"lamps/internal/sched"
 )
 
 // TestPackUnpackRoundTrip: a packed kernel schedule unpacks into a reused
@@ -36,8 +37,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var k Scheduler
-	var shell Schedule
+	var k sched.Scheduler
+	var shell sched.Schedule
 	for _, c := range []struct {
 		pf     *power.Platform
 		tasks  int
@@ -50,11 +51,11 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		{huge, 50, 0.05, huge.NumProcs()},
 	} {
 		g := randomGraph(rng, c.tasks, c.edgeP)
-		s, err := ListSchedulePlatform(g, c.pf, c.nprocs, EDFPriorities(g, 0), nil)
+		s, err := sched.ListSchedulePlatform(g, c.pf, c.nprocs, sched.EDFPriorities(g, 0), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k.Unpack(&shell, g, c.pf, Pack(s))
+		k.Unpack(&shell, g, c.pf, sched.Pack(s))
 		if !reflect.DeepEqual(&shell, s) {
 			t.Errorf("%d tasks on %d of %v: unpacked schedule differs from the kernel's", c.tasks, c.nprocs, c.pf)
 		}

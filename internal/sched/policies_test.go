@@ -1,16 +1,19 @@
-package sched
+package sched_test
 
 import (
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"lamps/internal/sched"
+	"lamps/internal/verify"
 )
 
 func TestPrioritiesRegistry(t *testing.T) {
 	g := buildFig4a(t)
-	for _, name := range Policies {
-		fn, err := Priorities(name, 42)
+	for _, name := range sched.Policies {
+		fn, err := sched.Priorities(name, 42)
 		if err != nil {
 			t.Errorf("Priorities(%s): %v", name, err)
 			continue
@@ -19,24 +22,24 @@ func TestPrioritiesRegistry(t *testing.T) {
 		if len(prio) != g.NumTasks() {
 			t.Errorf("%s: %d priorities for %d tasks", name, len(prio), g.NumTasks())
 		}
-		s, err := ListSchedule(g, 2, prio)
+		s, err := sched.ListSchedule(g, 2, prio)
 		if err != nil {
 			t.Errorf("%s: ListSchedule: %v", name, err)
 			continue
 		}
-		if err := s.Validate(); err != nil {
+		if err := verify.Schedule(g, s); err != nil {
 			t.Errorf("%s: invalid schedule: %v", name, err)
 		}
 	}
-	if _, err := Priorities("nope", 1); !errors.Is(err, ErrUnknownPolicy) {
+	if _, err := sched.Priorities("nope", 1); !errors.Is(err, sched.ErrUnknownPolicy) {
 		t.Errorf("unknown policy err = %v", err)
 	}
 }
 
 func TestPolicyOrderings(t *testing.T) {
 	g := buildFig4a(t)
-	lpt := LPTPriorities(g)
-	spt := SPTPriorities(g)
+	lpt := sched.LPTPriorities(g)
+	spt := sched.SPTPriorities(g)
 	for v := 0; v < g.NumTasks(); v++ {
 		if lpt[v] != -g.Weight(v) || spt[v] != g.Weight(v) {
 			t.Errorf("task %d: lpt=%d spt=%d weight=%d", v, lpt[v], spt[v], g.Weight(v))
@@ -44,7 +47,7 @@ func TestPolicyOrderings(t *testing.T) {
 	}
 	// Critical-child of T1 (weights: T2=6 is its heaviest successor):
 	// -(blevel(T1)=10 + 6) = -16.
-	cc := CriticalChildPriorities(g)
+	cc := sched.CriticalChildPriorities(g)
 	if cc[0] != -16 {
 		t.Errorf("critical-child prio of T1 = %d, want -16", cc[0])
 	}
@@ -56,9 +59,9 @@ func TestPolicyOrderings(t *testing.T) {
 
 func TestRandomPrioritiesSeeded(t *testing.T) {
 	g := buildFig4a(t)
-	a := RandomPriorities(g, 7)
-	b := RandomPriorities(g, 7)
-	c := RandomPriorities(g, 8)
+	a := sched.RandomPriorities(g, 7)
+	b := sched.RandomPriorities(g, 7)
+	c := sched.RandomPriorities(g, 8)
 	same, diff := true, false
 	for v := range a {
 		if a[v] != b[v] {
@@ -93,20 +96,20 @@ func TestPropertyGrahamBound(t *testing.T) {
 		n := int(rawN%40) + 2
 		nprocs := int(rawProcs%6) + 1
 		g := randomGraph(rng, n, 0.15)
-		name := Policies[int(rawPol)%len(Policies)]
-		fn, err := Priorities(name, seed)
+		name := sched.Policies[int(rawPol)%len(sched.Policies)]
+		fn, err := sched.Priorities(name, seed)
 		if err != nil {
 			return false
 		}
-		s, err := ListSchedule(g, nprocs, fn(g))
+		s, err := sched.ListSchedule(g, nprocs, fn(g))
 		if err != nil {
 			return false
 		}
-		if err := s.Validate(); err != nil {
+		if err := verify.Schedule(g, s); err != nil {
 			t.Logf("%s: %v", name, err)
 			return false
 		}
-		lb := MakespanLowerBound(g, nprocs)
+		lb := sched.MakespanLowerBound(g, nprocs)
 		graham := float64(lb) * (2 - 1/float64(nprocs))
 		if float64(s.Makespan) > graham+1e-9 {
 			t.Logf("%s: makespan %d exceeds Graham bound %.1f (lb %d, m %d)",

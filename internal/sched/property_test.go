@@ -6,15 +6,16 @@ import (
 
 	"lamps/internal/sched"
 	"lamps/internal/taskgen"
+	"lamps/internal/verify"
 )
 
 // TestListScheduleProperties exercises ListSchedule on randomly generated
 // graphs from every taskgen family and asserts the structural invariants
 // every list schedule must satisfy:
 //
-//   - Validate(): every task placed once, per-processor intervals do not
-//     overlap, durations equal weights, precedence holds, makespan is the
-//     maximum finish time.
+//   - verify.Schedule: every task placed once, per-processor intervals do
+//     not overlap, durations equal weights, precedence holds, makespan is
+//     the maximum finish time.
 //   - Makespan >= MakespanLowerBound (max of CPL and ceil(W/nprocs)).
 //   - Work conservation: total busy time equals the graph's total work.
 //   - Work conservation per processor count: a work-conserving scheduler on
@@ -38,7 +39,7 @@ func TestListScheduleProperties(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %d procs: %v", g.Name(), nprocs, err)
 			}
-			if err := s.Validate(); err != nil {
+			if err := verify.Schedule(g, s); err != nil {
 				t.Fatalf("%s on %d procs: invalid schedule: %v", g.Name(), nprocs, err)
 			}
 			if lb := sched.MakespanLowerBound(g, nprocs); s.Makespan < lb {
@@ -85,14 +86,8 @@ func TestListScheduleReleasesProperties(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		if err := s.Validate(); err != nil {
+		if err := verify.ScheduleWithin(g, s, verify.ScheduleOptions{Release: release}); err != nil {
 			t.Fatalf("iter %d: invalid schedule: %v", iter, err)
-		}
-		for v := 0; v < n; v++ {
-			if s.Start[v] < release[v] {
-				t.Errorf("iter %d: task %d starts at %d before release %d",
-					iter, v, s.Start[v], release[v])
-			}
 		}
 		if lb := sched.MakespanLowerBound(g, nprocs); s.Makespan < lb {
 			t.Errorf("iter %d: makespan %d below lower bound %d", iter, s.Makespan, lb)

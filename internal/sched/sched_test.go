@@ -1,4 +1,4 @@
-package sched
+package sched_test
 
 import (
 	"bytes"
@@ -10,6 +10,8 @@ import (
 	"testing/quick"
 
 	"lamps/internal/dag"
+	"lamps/internal/sched"
+	"lamps/internal/verify"
 )
 
 // buildFig4a constructs the paper's running example (Fig. 4a): weights
@@ -38,12 +40,12 @@ func buildFig4a(t testing.TB) *dag.Graph {
 // processors the makespan equals the critical path length (10 cycles).
 func TestFig4bSchedule(t *testing.T) {
 	g := buildFig4a(t)
-	s, err := ListEDF(g, 3)
+	s, err := sched.ListEDF(g, 3)
 	if err != nil {
-		t.Fatalf("ListEDF: %v", err)
+		t.Fatalf("sched.ListEDF: %v", err)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if err := verify.Schedule(g, s); err != nil {
+		t.Fatal(err)
 	}
 	if s.Makespan != 10 {
 		t.Errorf("makespan = %d, want 10 (the CPL)", s.Makespan)
@@ -68,12 +70,12 @@ func TestFig4bSchedule(t *testing.T) {
 // makespan of 10 cycles.
 func TestFig7aTwoProcessors(t *testing.T) {
 	g := buildFig4a(t)
-	s, err := ListEDF(g, 2)
+	s, err := sched.ListEDF(g, 2)
 	if err != nil {
-		t.Fatalf("ListEDF: %v", err)
+		t.Fatalf("sched.ListEDF: %v", err)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if err := verify.Schedule(g, s); err != nil {
+		t.Fatal(err)
 	}
 	if s.Makespan != 10 {
 		t.Errorf("makespan on 2 procs = %d, want 10", s.Makespan)
@@ -85,9 +87,9 @@ func TestFig7aTwoProcessors(t *testing.T) {
 
 func TestSingleProcessorNoIdle(t *testing.T) {
 	g := buildFig4a(t)
-	s, err := ListEDF(g, 1)
+	s, err := sched.ListEDF(g, 1)
 	if err != nil {
-		t.Fatalf("ListEDF: %v", err)
+		t.Fatalf("sched.ListEDF: %v", err)
 	}
 	if s.Makespan != g.TotalWork() {
 		t.Errorf("1-proc makespan = %d, want total work %d", s.Makespan, g.TotalWork())
@@ -99,9 +101,9 @@ func TestSingleProcessorNoIdle(t *testing.T) {
 
 func TestGapsWithHorizon(t *testing.T) {
 	g := buildFig4a(t)
-	s, err := ListEDF(g, 3)
+	s, err := sched.ListEDF(g, 3)
 	if err != nil {
-		t.Fatalf("ListEDF: %v", err)
+		t.Fatalf("sched.ListEDF: %v", err)
 	}
 	gaps := s.Gaps(15) // deadline 1.5x CPL as in Fig. 4
 	var total int64
@@ -130,7 +132,7 @@ func TestUnusedProcessorsContributeNoGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ListEDF(g, 4)
+	s, err := sched.ListEDF(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,34 +146,34 @@ func TestUnusedProcessorsContributeNoGaps(t *testing.T) {
 
 func TestErrNoProcs(t *testing.T) {
 	g := buildFig4a(t)
-	if _, err := ListEDF(g, 0); !errors.Is(err, ErrNoProcs) {
-		t.Errorf("err = %v, want ErrNoProcs", err)
+	if _, err := sched.ListEDF(g, 0); !errors.Is(err, sched.ErrNoProcs) {
+		t.Errorf("err = %v, want sched.ErrNoProcs", err)
 	}
-	if _, err := ListEDF(g, -2); !errors.Is(err, ErrNoProcs) {
-		t.Errorf("err = %v, want ErrNoProcs", err)
+	if _, err := sched.ListEDF(g, -2); !errors.Is(err, sched.ErrNoProcs) {
+		t.Errorf("err = %v, want sched.ErrNoProcs", err)
 	}
 }
 
 func TestBadPriorityLength(t *testing.T) {
 	g := buildFig4a(t)
-	if _, err := ListSchedule(g, 2, []int64{1, 2}); !errors.Is(err, ErrBadPriorities) {
-		t.Errorf("err = %v, want ErrBadPriorities", err)
+	if _, err := sched.ListSchedule(g, 2, []int64{1, 2}); !errors.Is(err, sched.ErrBadPriorities) {
+		t.Errorf("err = %v, want sched.ErrBadPriorities", err)
 	}
 	// A wrong-length priority slice must not be conflated with a wrong-length
 	// deadline slice: API layers map the two onto different error messages.
-	if _, err := ListSchedule(g, 2, []int64{1, 2}); errors.Is(err, ErrBadDeadlines) {
-		t.Errorf("err = %v unexpectedly wraps ErrBadDeadlines", err)
+	if _, err := sched.ListSchedule(g, 2, []int64{1, 2}); errors.Is(err, sched.ErrBadDeadlines) {
+		t.Errorf("err = %v unexpectedly wraps sched.ErrBadDeadlines", err)
 	}
-	// ListEDFWithDeadlines takes a *deadline* slice, so its length error stays
-	// ErrBadDeadlines.
-	if _, err := ListEDFWithDeadlines(g, 2, []int64{1}); !errors.Is(err, ErrBadDeadlines) {
-		t.Errorf("err = %v, want ErrBadDeadlines", err)
+	// sched.ListEDFWithDeadlines takes a *deadline* slice, so its length error stays
+	// sched.ErrBadDeadlines.
+	if _, err := sched.ListEDFWithDeadlines(g, 2, []int64{1}); !errors.Is(err, sched.ErrBadDeadlines) {
+		t.Errorf("err = %v, want sched.ErrBadDeadlines", err)
 	}
 }
 
 func TestEDFPrioritiesOrdering(t *testing.T) {
 	g := buildFig4a(t)
-	prio := EDFPriorities(g, 15)
+	prio := sched.EDFPriorities(g, 15)
 	// d(v) = D - (blevel - w): T1: 15-8=7, T2: 15-2=13, T3: 15-2=13,
 	// T4: 15-0=15, T5: 15-0=15.
 	want := []int64{7, 13, 13, 15, 15}
@@ -194,8 +196,8 @@ func TestDeadlinePriorities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl := []int64{NoDeadline, NoDeadline, 20}
-	eff, err := DeadlinePriorities(g, dl)
+	dl := []int64{sched.NoDeadline, sched.NoDeadline, 20}
+	eff, err := sched.DeadlinePriorities(g, dl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +210,8 @@ func TestDeadlinePriorities(t *testing.T) {
 	}
 	// A task with both an explicit deadline and a tighter derived one keeps
 	// the minimum.
-	dl2 := []int64{10, NoDeadline, 20}
-	eff2, err := DeadlinePriorities(g, dl2)
+	dl2 := []int64{10, sched.NoDeadline, 20}
+	eff2, err := sched.DeadlinePriorities(g, dl2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,38 +222,38 @@ func TestDeadlinePriorities(t *testing.T) {
 
 func TestDeadlinePrioritiesNoDeadlineAnywhere(t *testing.T) {
 	g := buildFig4a(t)
-	dl := []int64{NoDeadline, NoDeadline, NoDeadline, NoDeadline, NoDeadline}
-	eff, err := DeadlinePriorities(g, dl)
+	dl := []int64{sched.NoDeadline, sched.NoDeadline, sched.NoDeadline, sched.NoDeadline, sched.NoDeadline}
+	eff, err := sched.DeadlinePriorities(g, dl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v, d := range eff {
-		if d != NoDeadline {
-			t.Errorf("eff[%d] = %d, want NoDeadline", v, d)
+		if d != sched.NoDeadline {
+			t.Errorf("eff[%d] = %d, want sched.NoDeadline", v, d)
 		}
 	}
 }
 
 func TestFIFOPriorities(t *testing.T) {
 	g := buildFig4a(t)
-	p := FIFOPriorities(g)
+	p := sched.FIFOPriorities(g)
 	for v := range p {
 		if p[v] != int64(v) {
 			t.Errorf("FIFO prio[%d] = %d", v, p[v])
 		}
 	}
-	s, err := ListSchedule(g, 2, p)
+	s, err := sched.ListSchedule(g, 2, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
+	if err := verify.Schedule(g, s); err != nil {
 		t.Errorf("FIFO schedule invalid: %v", err)
 	}
 }
 
 func TestScheduleString(t *testing.T) {
 	g := buildFig4a(t)
-	s, err := ListEDF(g, 2)
+	s, err := sched.ListEDF(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +278,8 @@ func TestMakespanLowerBound(t *testing.T) {
 		{100, 10},
 	}
 	for _, tc := range tests {
-		if got := MakespanLowerBound(g, tc.nprocs); got != tc.want {
-			t.Errorf("MakespanLowerBound(%d) = %d, want %d", tc.nprocs, got, tc.want)
+		if got := sched.MakespanLowerBound(g, tc.nprocs); got != tc.want {
+			t.Errorf("sched.MakespanLowerBound(%d) = %d, want %d", tc.nprocs, got, tc.want)
 		}
 	}
 }
@@ -309,15 +311,15 @@ func TestPropertyScheduleValidity(t *testing.T) {
 		p := float64(rawP%40) / 100
 		nprocs := int(rawProcs%8) + 1
 		g := randomGraph(rng, n, p)
-		s, err := ListEDF(g, nprocs)
+		s, err := sched.ListEDF(g, nprocs)
 		if err != nil {
 			return false
 		}
-		if err := s.Validate(); err != nil {
+		if err := verify.Schedule(g, s); err != nil {
 			t.Logf("invalid schedule: %v", err)
 			return false
 		}
-		lb := MakespanLowerBound(g, nprocs)
+		lb := sched.MakespanLowerBound(g, nprocs)
 		if s.Makespan < lb || s.Makespan > g.TotalWork() {
 			t.Logf("makespan %d outside [%d, %d]", s.Makespan, lb, g.TotalWork())
 			return false
@@ -351,7 +353,7 @@ func TestPropertyWorkConserving(t *testing.T) {
 		n := int(rawN%40) + 2
 		nprocs := int(rawProcs%4) + 2
 		g := randomGraph(rng, n, 0.2)
-		s, err := ListEDF(g, nprocs)
+		s, err := sched.ListEDF(g, nprocs)
 		if err != nil {
 			return false
 		}
@@ -393,12 +395,12 @@ func TestPropertyMoreProcsBounds(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(rawN%30) + 2
 		g := randomGraph(rng, n, 0.15)
-		m1, err := ListEDF(g, 1)
+		m1, err := sched.ListEDF(g, 1)
 		if err != nil {
 			return false
 		}
 		for _, procs := range []int{2, 3, 5, 9} {
-			mp, err := ListEDF(g, procs)
+			mp, err := sched.ListEDF(g, procs)
 			if err != nil {
 				return false
 			}
@@ -420,11 +422,11 @@ func TestPropertyMoreProcsBounds(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomGraph(rng, 60, 0.1)
-	a, err := ListEDF(g, 4)
+	a, err := sched.ListEDF(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ListEDF(g, 4)
+	b, err := sched.ListEDF(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +442,7 @@ func BenchmarkListEDF1000x8(b *testing.B) {
 	g := randomGraph(rng, 1000, 0.004)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ListEDF(g, 8); err != nil {
+		if _, err := sched.ListEDF(g, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -456,7 +458,7 @@ func TestReleasesDelayStart(t *testing.T) {
 	}
 	_ = a
 	rel := []int64{0, 100}
-	s, err := ListScheduleReleases(g, 2, FIFOPriorities(g), rel)
+	s, err := sched.ListScheduleReleases(g, 2, sched.FIFOPriorities(g), rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +471,8 @@ func TestReleasesDelayStart(t *testing.T) {
 	if s.Makespan != 105 {
 		t.Errorf("makespan = %d, want 105", s.Makespan)
 	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
+	if err := verify.Schedule(g, s); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -484,7 +486,7 @@ func TestReleasesOnSuccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ListScheduleReleases(g, 1, EDFPriorities(g, 0), []int64{0, 20})
+	s, err := sched.ListScheduleReleases(g, 1, sched.EDFPriorities(g, 0), []int64{0, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,11 +497,11 @@ func TestReleasesOnSuccessors(t *testing.T) {
 
 func TestReleasesBadLength(t *testing.T) {
 	g := buildFig4a(t)
-	_, err := ListScheduleReleases(g, 2, EDFPriorities(g, 0), []int64{1, 2})
-	if !errors.Is(err, ErrBadReleases) {
-		t.Errorf("err = %v, want ErrBadReleases", err)
+	_, err := sched.ListScheduleReleases(g, 2, sched.EDFPriorities(g, 0), []int64{1, 2})
+	if !errors.Is(err, sched.ErrBadReleases) {
+		t.Errorf("err = %v, want sched.ErrBadReleases", err)
 	}
-	if errors.Is(err, ErrBadDeadlines) || errors.Is(err, ErrBadPriorities) {
+	if errors.Is(err, sched.ErrBadDeadlines) || errors.Is(err, sched.ErrBadPriorities) {
 		t.Errorf("err = %v wraps an unrelated sentinel", err)
 	}
 }
@@ -513,12 +515,12 @@ func TestPropertyReleasesRespected(t *testing.T) {
 		for v := range rel {
 			rel[v] = int64(rng.Intn(500))
 		}
-		s, err := ListScheduleReleases(g, int(rawProcs%4)+1, EDFPriorities(g, 0), rel)
+		s, err := sched.ListScheduleReleases(g, int(rawProcs%4)+1, sched.EDFPriorities(g, 0), rel)
 		if err != nil {
 			return false
 		}
-		if err := s.Validate(); err != nil {
-			t.Logf("Validate: %v", err)
+		if err := verify.Schedule(g, s); err != nil {
+			t.Log(err)
 			return false
 		}
 		for v := 0; v < n; v++ {
@@ -528,11 +530,11 @@ func TestPropertyReleasesRespected(t *testing.T) {
 			}
 		}
 		// Nil releases must match all-zero releases exactly.
-		zero, err := ListScheduleReleases(g, int(rawProcs%4)+1, EDFPriorities(g, 0), make([]int64, n))
+		zero, err := sched.ListScheduleReleases(g, int(rawProcs%4)+1, sched.EDFPriorities(g, 0), make([]int64, n))
 		if err != nil {
 			return false
 		}
-		plain, err := ListEDF(g, int(rawProcs%4)+1)
+		plain, err := sched.ListEDF(g, int(rawProcs%4)+1)
 		if err != nil {
 			return false
 		}
@@ -550,7 +552,7 @@ func TestPropertyReleasesRespected(t *testing.T) {
 
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	g := buildFig4a(t)
-	s, err := ListEDF(g, 3)
+	s, err := sched.ListEDF(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,9 +560,9 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
+	back, err := sched.ReadJSON(&buf)
 	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
+		t.Fatalf("sched.ReadJSON: %v", err)
 	}
 	if back.Makespan != s.Makespan || back.NumProcs != s.NumProcs {
 		t.Errorf("round trip lost makespan/procs")
@@ -575,6 +577,9 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScheduleJSONRejectsCorrupt: malformed documents fail in ReadJSON;
+// a well-formed but illegal placement (the wrong makespan) is restored and
+// then rejected by the verifier.
 func TestScheduleJSONRejectsCorrupt(t *testing.T) {
 	cases := []string{
 		``,
@@ -585,7 +590,11 @@ func TestScheduleJSONRejectsCorrupt(t *testing.T) {
 		`{"name":"x","num_procs":1,"makespan_cycles":5,"tasks":[{"id":0,"weight_cycles":5,"proc":3,"start_cycles":0,"finish_cycles":5}]}`, // proc out of range
 	}
 	for i, in := range cases {
-		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
+		s, err := sched.ReadJSON(strings.NewReader(in))
+		if err == nil {
+			err = verify.Schedule(s.Graph, s)
+		}
+		if err == nil {
 			t.Errorf("case %d: corrupt schedule accepted", i)
 		}
 	}
@@ -595,7 +604,7 @@ func TestPropertyScheduleJSONRoundTrip(t *testing.T) {
 	f := func(seed int64, rawN, rawProcs uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, int(rawN%30)+1, 0.2)
-		s, err := ListEDF(g, int(rawProcs%5)+1)
+		s, err := sched.ListEDF(g, int(rawProcs%5)+1)
 		if err != nil {
 			return false
 		}
@@ -603,12 +612,12 @@ func TestPropertyScheduleJSONRoundTrip(t *testing.T) {
 		if err := s.WriteJSON(&buf); err != nil {
 			return false
 		}
-		back, err := ReadJSON(&buf)
+		back, err := sched.ReadJSON(&buf)
 		if err != nil {
-			t.Logf("ReadJSON: %v", err)
+			t.Logf("sched.ReadJSON: %v", err)
 			return false
 		}
-		return back.Validate() == nil && back.Makespan == s.Makespan
+		return verify.Schedule(back.Graph, back) == nil && back.Makespan == s.Makespan
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -621,18 +630,18 @@ func TestPropertyScheduleJSONRoundTrip(t *testing.T) {
 func TestEDFPrioritiesSaturates(t *testing.T) {
 	g := buildFig4a(t)
 
-	// NoDeadline (MaxInt64) is the everyday extreme: the order must match
+	// sched.NoDeadline (MaxInt64) is the everyday extreme: the order must match
 	// the deadline-0 order exactly (priorities are shift-invariant in the
 	// exact range), and no priority may have wrapped negative.
-	base := EDFPriorities(g, 0)
-	nd := EDFPriorities(g, NoDeadline)
+	base := sched.EDFPriorities(g, 0)
+	nd := sched.EDFPriorities(g, sched.NoDeadline)
 	for v := range nd {
 		if nd[v] < 0 {
-			t.Errorf("prio[%d] = %d wrapped negative for NoDeadline", v, nd[v])
+			t.Errorf("prio[%d] = %d wrapped negative for sched.NoDeadline", v, nd[v])
 		}
 		for u := range nd {
 			if (base[v] < base[u]) != (nd[v] < nd[u]) {
-				t.Errorf("NoDeadline inverts order of tasks %d and %d", v, u)
+				t.Errorf("sched.NoDeadline inverts order of tasks %d and %d", v, u)
 			}
 		}
 	}
@@ -640,27 +649,10 @@ func TestEDFPrioritiesSaturates(t *testing.T) {
 	// At the bottom extreme, deadline - slack would wrap positive (turning
 	// the most urgent task into the least urgent); saturation clamps to
 	// MinInt64 instead.
-	lo := EDFPriorities(g, math.MinInt64)
+	lo := sched.EDFPriorities(g, math.MinInt64)
 	for v, p := range lo {
 		if p > 0 {
 			t.Errorf("prio[%d] = %d wrapped positive for MinInt64 deadline", v, p)
-		}
-	}
-}
-
-func TestSubSat(t *testing.T) {
-	cases := []struct{ a, b, want int64 }{
-		{10, 3, 7},
-		{math.MaxInt64, 5, math.MaxInt64 - 5},
-		{math.MaxInt64, -1, math.MaxInt64}, // would wrap negative
-		{math.MinInt64, 1, math.MinInt64},  // would wrap positive
-		{math.MinInt64, -5, math.MinInt64 + 5},
-		{-3, math.MaxInt64, math.MinInt64}, // true value is below MinInt64
-		{0, math.MinInt64, math.MaxInt64},  // true value is above MaxInt64
-	}
-	for _, c := range cases {
-		if got := subSat(c.a, c.b); got != c.want {
-			t.Errorf("subSat(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }

@@ -163,86 +163,6 @@ func (s *Schedule) IdleCycles(horizon int64) int64 {
 	return idle
 }
 
-// Validate checks the structural invariants of the schedule: every task is
-// placed exactly once, intervals on one processor do not overlap, durations
-// equal task weights, all precedence constraints hold, Makespan is the
-// maximum finish time, and FinishOrder is the (finish, task) order. It is
-// used by tests and property checks.
-func (s *Schedule) Validate() error {
-	g := s.Graph
-	n := g.NumTasks()
-	if len(s.Proc) != n || len(s.Start) != n || len(s.Finish) != n {
-		return fmt.Errorf("sched: schedule arrays have wrong length")
-	}
-	var maxFinish int64
-	for v := 0; v < n; v++ {
-		if s.Proc[v] < 0 || int(s.Proc[v]) >= s.NumProcs {
-			return fmt.Errorf("sched: task %d on invalid processor %d", v, s.Proc[v])
-		}
-		if s.Start[v] < 0 {
-			return fmt.Errorf("sched: task %d starts at negative time %d", v, s.Start[v])
-		}
-		if s.Finish[v]-s.Start[v] != g.Weight(v) {
-			return fmt.Errorf("sched: task %d duration %d != weight %d",
-				v, s.Finish[v]-s.Start[v], g.Weight(v))
-		}
-		if s.Finish[v] > maxFinish {
-			maxFinish = s.Finish[v]
-		}
-		for _, pred := range g.Preds(v) {
-			if s.Start[v] < s.Finish[pred] {
-				return fmt.Errorf("sched: task %d starts at %d before pred %d finishes at %d",
-					v, s.Start[v], pred, s.Finish[pred])
-			}
-		}
-	}
-	if maxFinish != s.Makespan {
-		return fmt.Errorf("sched: makespan %d != max finish %d", s.Makespan, maxFinish)
-	}
-	// Per-processor non-overlap and ordering.
-	if len(s.byProcOff) != s.NumProcs+1 || len(s.byProcFlat) != n {
-		return fmt.Errorf("sched: per-processor task lists have wrong length")
-	}
-	seen := make([]bool, n)
-	total := 0
-	for p := 0; p < s.NumProcs; p++ {
-		var cursor int64
-		for _, v := range s.TasksOn(p) {
-			if seen[v] {
-				return fmt.Errorf("sched: task %d scheduled twice", v)
-			}
-			seen[v] = true
-			total++
-			if int(s.Proc[v]) != p {
-				return fmt.Errorf("sched: task %d listed on proc %d but assigned to %d", v, p, s.Proc[v])
-			}
-			if s.Start[v] < cursor {
-				return fmt.Errorf("sched: overlap on processor %d at task %d", p, v)
-			}
-			cursor = s.Finish[v]
-		}
-	}
-	if total != n {
-		return fmt.Errorf("sched: %d of %d tasks placed", total, n)
-	}
-	// A strictly increasing run of n in-range tasks is a permutation.
-	if len(s.finishOrder) != n {
-		return fmt.Errorf("sched: finish order lists %d of %d tasks", len(s.finishOrder), n)
-	}
-	for i, v := range s.finishOrder {
-		if v < 0 || int(v) >= n {
-			return fmt.Errorf("sched: finish order lists invalid task %d", v)
-		}
-		if i > 0 {
-			u := s.finishOrder[i-1]
-			if s.Finish[u] > s.Finish[v] || s.Finish[u] == s.Finish[v] && u >= v {
-				return fmt.Errorf("sched: finish order not sorted by (finish, task) at position %d", i)
-			}
-		}
-	}
-	return nil
-}
-
 // String renders a compact textual Gantt-like description, useful in
 // examples and debugging.
 func (s *Schedule) String() string {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"lamps/internal/dag"
+	"lamps/internal/power"
 	"lamps/internal/sched"
 	"lamps/internal/server"
 	"lamps/internal/stg"
@@ -249,10 +250,10 @@ func splitValues(t *testing.T, body []byte, n int) []json.RawMessage {
 }
 
 // verifyBatchResult re-checks a 200 line's result against its input line:
-// the makespan meets the deadline, and on the identical-processor machine
-// the placement is a legal schedule of the input graph (verify.Schedule).
-// Platform placements carry class-stretched slots that only the server's
-// self-check, which knows the platform, re-derives.
+// the makespan meets the deadline, and the placement is a legal schedule of
+// the input graph on the line's machine — verify.PlatformSchedule on the
+// platform loaded from the line's platform block, which fixes every
+// class-stretched slot length, else verify.Schedule.
 func verifyBatchResult(input, result json.RawMessage) error {
 	var in struct {
 		Graph *struct {
@@ -283,11 +284,20 @@ func verifyBatchResult(input, result json.RawMessage) error {
 	if out.Makespan > out.Deadline*(1+1e-9) {
 		return fmt.Errorf("makespan %g s past the deadline %g s", out.Makespan, out.Deadline)
 	}
-	if len(out.Placement) == 0 || len(in.Platform) > 0 {
+	if len(out.Placement) == 0 {
 		return nil // LIMIT bounds have no placement
 	}
-	var g *dag.Graph
+	var pf *power.Platform
 	var err error
+	if len(in.Platform) > 0 {
+		if pf, err = power.LoadPlatformJSON(bytes.NewReader(in.Platform)); err != nil {
+			return fmt.Errorf("loading the input platform: %v", err)
+		}
+		// A platform S&S result reports the processors it uses, which can be
+		// fewer than its highest processor index plus one.
+		out.NumProcs = pf.NumProcs()
+	}
+	var g *dag.Graph
 	if in.Graph != nil {
 		b := dag.NewBuilder("input")
 		for _, tk := range in.Graph.Tasks {
@@ -332,6 +342,9 @@ func verifyBatchResult(input, result json.RawMessage) error {
 	s, err := sched.ReadJSON(bytes.NewReader(raw))
 	if err != nil {
 		return err
+	}
+	if pf != nil {
+		return verify.PlatformSchedule(s.Graph, pf, s)
 	}
 	return verify.Schedule(s.Graph, s)
 }

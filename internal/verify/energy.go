@@ -32,8 +32,7 @@ import (
 //     processor has a trailing gap from its last slot to the horizon;
 //   - processors that hold no slot at all are off and consume nothing;
 //   - with opts.PS, a gap strictly longer than the break-even time is slept
-//     through (P_sleep plus one shutdown overhead), otherwise it idles;
-//   - with opts.IgnoreIdle, only the active energy is accounted.
+//     through (P_sleep plus one shutdown overhead), otherwise it idles.
 //
 // With a backup plan the deadline must cover the recovery makespan, gaps
 // are those of each processor's merged primary+backup timeline (a
@@ -119,9 +118,6 @@ func Energy(s *sched.Schedule, pf *power.Platform, plan *sched.BackupPlan, pt po
 		activeT := float64(busyWork) / lvl.Freq
 		b.ActiveTime += activeT
 		b.Active += activeT * m.LevelPower(lvl)
-		if opts.IgnoreIdle {
-			continue
-		}
 		pIdle := m.IdlePower(lvl)
 		if intra := float64(busySlot)/ft - activeT; intra > 0 {
 			b.IdleTime += intra

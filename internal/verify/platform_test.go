@@ -151,8 +151,8 @@ type parityInput struct {
 
 // checkEnergyParity requires the verifier's independent per-gap walk and the
 // profile's bucketed evaluation to agree bit for bit — every Breakdown
-// field, shutdown counts included — at every operating point, PS on and off,
-// and IgnoreIdle. A non-nil kernel is a further reference that must agree
+// field, shutdown counts included — at every operating point, PS on and
+// off. A non-nil kernel is a further reference that must agree
 // too. This is the verifier's licence to call any future mismatch a
 // violation, and the cross-implementation contract SelfCheck relies on.
 func checkEnergyParity(t *testing.T, inputs []parityInput,
@@ -165,7 +165,7 @@ func checkEnergyParity(t *testing.T, inputs []parityInput,
 			base := float64(in.s.Makespan) / pt.TimelineFreq
 			for _, slack := range in.slacks {
 				deadline := base * slack
-				for _, opts := range []energy.Options{{}, {PS: true}, {IgnoreIdle: true}} {
+				for _, opts := range []energy.Options{{}, {PS: true}} {
 					got, errGot := p.EvaluatePoint(in.pf, pt, deadline, opts)
 					want, errWant := Energy(in.s, in.pf, nil, pt, deadline, opts)
 					if (errGot == nil) != (errWant == nil) {

@@ -5,9 +5,10 @@
 // edges, exclusivity from a per-processor sort of the raw Proc/Start/Finish
 // arrays, energy from a linear walk over every gap — and none of it shares
 // code with the optimised kernels in internal/sched and internal/energy
-// (no Schedule.Validate, no Schedule.Gaps, no GapProfile). If a kernel
-// optimisation and this package agree, the agreement is evidence; if they
-// disagree, one of them is wrong and the Violation says where.
+// (no Schedule.Gaps, no GapProfile). It is the only judge of schedule
+// legality; sched.ReadJSON restores schedules without judging them. If a
+// kernel optimisation and this package agree, the agreement is evidence; if
+// they disagree, one of them is wrong and the Violation says where.
 //
 // There is one energy oracle, as there is one pricing rule in the paper:
 // Energy walks a schedule on a power.Platform — a homogeneous machine is

@@ -50,6 +50,7 @@ import (
 	"lamps/internal/sim"
 	"lamps/internal/stg"
 	"lamps/internal/taskgen"
+	"lamps/internal/verify"
 	"lamps/internal/workpool"
 )
 
@@ -141,6 +142,12 @@ func ListEDF(g *Graph, nprocs int) (*Schedule, error) { return sched.ListEDF(g, 
 func ListEDFWithDeadlines(g *Graph, nprocs int, deadlines []int64) (*Schedule, error) {
 	return sched.ListEDFWithDeadlines(g, nprocs, deadlines)
 }
+
+// VerifySchedule checks a schedule on identical processors against its own
+// graph with the independent verifier: every task placed once for exactly
+// its weight, precedence, per-processor exclusivity and the makespan. It
+// returns nil or a violation naming the broken invariant.
+func VerifySchedule(s *Schedule) error { return verify.Schedule(s.Graph, s) }
 
 // Energy accounting (see internal/energy).
 type (

@@ -90,7 +90,7 @@ func TestFacadeSchedulingAndEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
+	if err := VerifySchedule(s); err != nil {
 		t.Fatal(err)
 	}
 	m := Default70nm()
@@ -117,7 +117,7 @@ func TestFacadeKPN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
+	if err := VerifySchedule(s); err != nil {
 		t.Fatal(err)
 	}
 }
