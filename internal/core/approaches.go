@@ -12,20 +12,15 @@ import (
 
 // The package-level heuristic functions are thin wrappers over Engine: they
 // run a serial engine with no observer under context.Background(). Callers
-// that need cancellation, progress hooks or parallel search use the ...Ctx
-// forms or an Engine directly.
+// that need cancellation use RunCtx; progress hooks and parallel search
+// need an Engine.
 
 // ScheduleAndStretch implements the S&S baseline (Section 4.1): schedule
 // with LS-EDF on as many processors as reduce the makespan, then scale the
 // common frequency down so the schedule finishes as close as possible to
 // the deadline. Idle processors stay on.
 func ScheduleAndStretch(g *dag.Graph, cfg Config) (*Result, error) {
-	return ScheduleAndStretchCtx(context.Background(), g, cfg)
-}
-
-// ScheduleAndStretchCtx is ScheduleAndStretch with cooperative cancellation.
-func ScheduleAndStretchCtx(ctx context.Context, g *dag.Graph, cfg Config) (*Result, error) {
-	return (&Engine{Config: cfg}).Run(ctx, ApproachSS, g)
+	return Run(ApproachSS, g, cfg)
 }
 
 // ScheduleAndStretchPS implements S&S+PS (Section 4.3): like S&S, but the
@@ -34,13 +29,7 @@ func ScheduleAndStretchCtx(ctx context.Context, g *dag.Graph, cfg Config) (*Resu
 // as at its end — is used to shut processors down whenever an idle period
 // exceeds the break-even time. The cheapest balance wins.
 func ScheduleAndStretchPS(g *dag.Graph, cfg Config) (*Result, error) {
-	return ScheduleAndStretchPSCtx(context.Background(), g, cfg)
-}
-
-// ScheduleAndStretchPSCtx is ScheduleAndStretchPS with cooperative
-// cancellation.
-func ScheduleAndStretchPSCtx(ctx context.Context, g *dag.Graph, cfg Config) (*Result, error) {
-	return (&Engine{Config: cfg}).Run(ctx, ApproachSSPS, g)
+	return Run(ApproachSSPS, g, cfg)
 }
 
 // LAMPS implements Leakage-Aware MultiProcessor Scheduling (Section 4.2):
@@ -48,34 +37,14 @@ func ScheduleAndStretchPSCtx(ctx context.Context, g *dag.Graph, cfg Config) (*Re
 // depth of voltage scaling that minimises total energy; the remaining
 // processors are turned off.
 func LAMPS(g *dag.Graph, cfg Config) (*Result, error) {
-	return LAMPSCtx(context.Background(), g, cfg)
-}
-
-// LAMPSCtx is LAMPS with cooperative cancellation.
-func LAMPSCtx(ctx context.Context, g *dag.Graph, cfg Config) (*Result, error) {
-	return (&Engine{Config: cfg}).Run(ctx, ApproachLAMPS, g)
+	return Run(ApproachLAMPS, g, cfg)
 }
 
 // LAMPSPS implements LAMPS+PS (Section 4.3): LAMPS extended with the option
 // to shut employed processors down temporarily, choosing for every
 // processor count the frequency that best balances DVS against shutdown.
 func LAMPSPS(g *dag.Graph, cfg Config) (*Result, error) {
-	return LAMPSPSCtx(context.Background(), g, cfg)
-}
-
-// LAMPSPSCtx is LAMPSPS with cooperative cancellation.
-func LAMPSPSCtx(ctx context.Context, g *dag.Graph, cfg Config) (*Result, error) {
-	return (&Engine{Config: cfg}).Run(ctx, ApproachLAMPSPS, g)
-}
-
-// LimitSFCtx is LimitSF with cooperative cancellation.
-func LimitSFCtx(ctx context.Context, g *dag.Graph, cfg Config) (*Result, error) {
-	return (&Engine{Config: cfg}).Run(ctx, ApproachLimitSF, g)
-}
-
-// LimitMFCtx is LimitMF with cooperative cancellation.
-func LimitMFCtx(ctx context.Context, g *dag.Graph, cfg Config) (*Result, error) {
-	return (&Engine{Config: cfg}).Run(ctx, ApproachLimitMF, g)
+	return Run(ApproachLAMPSPS, g, cfg)
 }
 
 // lampsCommon runs the shared LAMPS structure with an explicit approach

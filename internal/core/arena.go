@@ -9,7 +9,7 @@ import (
 )
 
 // arena is the per-request scratch of one engine invocation: the run state,
-// the memoising scheduler (with its EDF priority and memo key scratch), the
+// the memoising scheduler (with its EDF priority scratch), the
 // candidate and sweep-pair slices, a free list of recycled Schedule shells
 // and the one-class platform a homogeneous run evaluates on. A request
 // borrows one arena from arenaPool for its whole lifetime and returns it on

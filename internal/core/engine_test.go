@@ -129,23 +129,16 @@ func TestEngineCancelMidSearch(t *testing.T) {
 }
 
 // TestEngineCancelBeforeStart: an already-cancelled context fails every
-// wrapper without doing any work.
+// approach without doing any work.
 func TestEngineCancelBeforeStart(t *testing.T) {
 	g := buildFig4a(t, coarseWeight)
 	m := power.Default70nm()
 	cfg := DeadlineFactor(g, m, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, run := range map[string]func() (*Result, error){
-		"LAMPSCtx":              func() (*Result, error) { return LAMPSCtx(ctx, g, cfg) },
-		"LAMPSPSCtx":            func() (*Result, error) { return LAMPSPSCtx(ctx, g, cfg) },
-		"ScheduleAndStretchCtx": func() (*Result, error) { return ScheduleAndStretchCtx(ctx, g, cfg) },
-		"LimitSFCtx":            func() (*Result, error) { return LimitSFCtx(ctx, g, cfg) },
-		"LimitMFCtx":            func() (*Result, error) { return LimitMFCtx(ctx, g, cfg) },
-		"RunCtx":                func() (*Result, error) { return RunCtx(ctx, ApproachSSPS, g, cfg) },
-	} {
-		if _, err := run(); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+	for _, approach := range Approaches {
+		if _, err := RunCtx(ctx, approach, g, cfg); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", approach, err)
 		}
 	}
 	if _, err := SlackReclaimDVSCtx(ctx, g, cfg, true); !errors.Is(err, context.Canceled) {

@@ -1,14 +1,8 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"hash"
-	"math"
 	"sync"
 
-	"lamps/internal/dag"
-	"lamps/internal/power"
 	"lamps/internal/sched"
 )
 
@@ -22,21 +16,15 @@ const ScheduleMemoBudget = 8 << 20
 const memoEntryOverhead = 160
 
 // ScheduleMemo is a bounded, concurrency-safe store of list schedules
-// shared across runs and requests. The default EDF list schedule of a
-// graph on n processors depends on nothing but the graph and the machine's
-// timing shape — priorities are deadline-0 EDF and no run passes release
-// times — so a graph that comes back with another deadline, approach or
-// fault policy reuses every schedule an earlier run built instead of
-// list-scheduling it again.
+// shared across runs and requests: a graph that comes back with another
+// deadline, approach or fault policy reuses every schedule an earlier run
+// built instead of list-scheduling it again.
 //
-// Entries are keyed by a SHA-256 digest of the graph content (task
-// weights and successor lists, never names or labels) and of the timing
-// shape (empty on one class; the class of every processor and every
-// class's slot stretch otherwise), and hold one packed schedule per
-// processor count built so far. The store evicts whole graph entries in
-// least-recently-used order to stay within ScheduleMemoBudget; an entry
-// that alone would exceed the budget stops growing. It starts empty and
-// preallocates nothing.
+// Entries are keyed by graphhash.ScheduleKey of the graph and the
+// machine's timing shape, and hold one packed schedule per processor count
+// built so far. The store evicts whole graph entries in least-recently-used
+// order to stay within ScheduleMemoBudget; an entry that alone would exceed
+// the budget stops growing. It starts empty and preallocates nothing.
 //
 // Set Engine.Memo to share one memo among engines. Runs with a custom
 // Config.Priorities never use it.
@@ -58,7 +46,8 @@ type MemoStats struct {
 	Bytes     int64  // bytes currently held
 }
 
-type memoKey [sha256.Size]byte
+// memoKey is a graphhash.ScheduleKey: a SHA-256 digest.
+type memoKey [32]byte
 
 // memoEntry is one graph on one timing shape: its packed schedules
 // indexed by processor count.
@@ -187,74 +176,4 @@ func (m *ScheduleMemo) unlink(e *memoEntry) {
 		m.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-}
-
-// memoKeyChunk is the buffered key input length at which a memoKeyer
-// flushes into the hash.
-const memoKeyChunk = 4096
-
-// memoKeyer computes memo keys. The key input is appended little-endian
-// into one small buffer handed to SHA-256 a chunk at a time, so the scratch
-// stays about 4 KiB whatever the graph size, and a warm keyer allocates
-// nothing.
-// The input is the task count, then every task's weight, out-degree and
-// successors, then the timing shape — nothing more on one class, where the
-// kernel ignores the platform; otherwise the processor count, every
-// processor's class and every class's slot stretch bits. Each part is
-// length-prefixed, so the encoding is injective.
-type memoKeyer struct {
-	h   hash.Hash
-	buf []byte
-	out memoKey
-}
-
-// key returns the memo key of g on pf's timing shape.
-func (k *memoKeyer) key(g *dag.Graph, pf *power.Platform) memoKey {
-	if k.h == nil {
-		k.h = sha256.New()
-		k.buf = make([]byte, 0, memoKeyChunk)
-	}
-	k.h.Reset()
-	le := binary.LittleEndian
-	n := g.NumTasks()
-	buf := le.AppendUint32(k.buf[:0], uint32(n))
-	for v := 0; v < n; v++ {
-		succs := g.Succs(v)
-		buf = k.room(buf, 12+4*len(succs))
-		buf = le.AppendUint64(buf, uint64(g.Weight(v)))
-		buf = le.AppendUint32(buf, uint32(len(succs)))
-		for _, s := range succs {
-			buf = le.AppendUint32(buf, uint32(s))
-		}
-	}
-	nc := pf.NumClasses()
-	buf = k.room(buf, 4)
-	buf = le.AppendUint32(buf, uint32(nc))
-	if nc > 1 {
-		buf = k.room(buf, 4)
-		buf = le.AppendUint32(buf, uint32(pf.NumProcs()))
-		for p := 0; p < pf.NumProcs(); p++ {
-			buf = k.room(buf, 4)
-			buf = le.AppendUint32(buf, uint32(pf.ClassOf(p)))
-		}
-		for c := 0; c < nc; c++ {
-			buf = k.room(buf, 8)
-			buf = le.AppendUint64(buf, math.Float64bits(pf.Scale(c)))
-		}
-	}
-	k.h.Write(buf)
-	k.buf = buf[:0]
-	k.h.Sum(k.out[:0])
-	return k.out
-}
-
-// room hands buf to the hash when need more bytes would overflow the
-// chunk. A single task's successor list longer than a chunk still goes in
-// whole, so the buffer holds at most one chunk or one such list.
-func (k *memoKeyer) room(buf []byte, need int) []byte {
-	if len(buf) > 0 && len(buf)+need > memoKeyChunk {
-		k.h.Write(buf)
-		return buf[:0]
-	}
-	return buf
 }

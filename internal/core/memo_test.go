@@ -3,16 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"lamps/internal/dag"
+	"lamps/internal/graphhash"
 	"lamps/internal/power"
 	"lamps/internal/sched"
 	"lamps/internal/workpool"
@@ -62,73 +60,7 @@ func rebuildGraph(t *testing.T, g *dag.Graph, weight func(v int) int64, edit fun
 
 // memoKeyOf is the key a run of g on pf looks schedules up under.
 func memoKeyOf(g *dag.Graph, pf *power.Platform) memoKey {
-	var k memoKeyer
-	return k.key(g, pf)
-}
-
-// TestMemoKeyerChunking: the keyer's chunked digest equals SHA-256 of the
-// whole key input written out at once — for a graph whose input spans many
-// chunks and for a star whose one successor list is longer than a chunk,
-// on one class and on several — and a reused keyer starts afresh.
-func TestMemoKeyerChunking(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	star := dag.NewBuilder("star")
-	star.AddTask(coarseWeight)
-	for v := 1; v <= 2000; v++ {
-		star.AddTask(coarseWeight)
-		star.AddEdge(0, v)
-	}
-	sg, err := star.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	le := binary.LittleEndian
-	var k memoKeyer
-	for _, c := range []struct {
-		g  *dag.Graph
-		pf *power.Platform
-	}{
-		{randomGraph(rng, 400, 0.05, coarseWeight), oneClassOf(t, 8)},
-		{randomGraph(rng, 400, 0.05, coarseWeight), lp6hp2(t)},
-		{sg, oneClassOf(t, 8)},
-		{sg, lp6hp2(t)},
-	} {
-		g, pf := c.g, c.pf
-		var in []byte
-		in = le.AppendUint32(in, uint32(g.NumTasks()))
-		for v := 0; v < g.NumTasks(); v++ {
-			in = le.AppendUint64(in, uint64(g.Weight(v)))
-			in = le.AppendUint32(in, uint32(len(g.Succs(v))))
-			for _, s := range g.Succs(v) {
-				in = le.AppendUint32(in, uint32(s))
-			}
-		}
-		in = le.AppendUint32(in, uint32(pf.NumClasses()))
-		if pf.NumClasses() > 1 {
-			in = le.AppendUint32(in, uint32(pf.NumProcs()))
-			for p := 0; p < pf.NumProcs(); p++ {
-				in = le.AppendUint32(in, uint32(pf.ClassOf(p)))
-			}
-			for c := 0; c < pf.NumClasses(); c++ {
-				in = le.AppendUint64(in, math.Float64bits(pf.Scale(c)))
-			}
-		}
-		if len(in) < 4*memoKeyChunk {
-			t.Fatalf("key input of %d bytes spans too few chunks", len(in))
-		}
-		if got, want := k.key(g, pf), memoKey(sha256.Sum256(in)); got != want {
-			t.Fatalf("%s on %v: chunked key %x, want %x", g.Name(), pf, got, want)
-		}
-	}
-}
-
-func oneClassOf(t *testing.T, n int) *power.Platform {
-	t.Helper()
-	pf, err := power.Homogeneous(n, power.Default70nm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pf
+	return graphhash.ScheduleKey(g, pf)
 }
 
 // lp6hp2 is a 6 LP + 2 HP machine.

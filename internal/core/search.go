@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"lamps/internal/dag"
+	"lamps/internal/graphhash"
 	"lamps/internal/power"
 	"lamps/internal/sched"
 	"lamps/internal/verify"
@@ -38,7 +39,6 @@ type scheduler struct {
 	pf        *power.Platform // the run's machine
 	memo      *ScheduleMemo   // cross-request memo; nil for custom priorities
 	key       memoKey         // memo key of (g, pf's timing shape)
-	keyer     memoKeyer       // key scratch, reused across runs
 
 	mu      sync.Mutex
 	prio    []int64           // the run's priorities; EDF is computed on first use
@@ -62,7 +62,7 @@ func (sc *scheduler) init(ctx context.Context, g *dag.Graph, prio []int64, obs *
 	sc.memo = nil
 	if memo != nil && prio == nil {
 		sc.memo = memo
-		sc.key = sc.keyer.key(g, pf)
+		sc.key = graphhash.ScheduleKey(g, pf)
 	}
 }
 

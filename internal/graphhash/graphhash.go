@@ -3,6 +3,9 @@
 // processor cap and the approach name. Two problems with equal digests are
 // guaranteed to produce identical scheduling results, which makes the digest
 // safe to use as a cache key for memoising results across requests.
+// ScheduleKey writes the same graph encoding under its own tag to key list
+// schedules, which depend on the graph and the machine's timing shape only,
+// so graphhash is the one place that turns graph content into a digest.
 //
 // Canonicality rules:
 //
@@ -61,9 +64,47 @@ type Problem struct {
 func Sum(p Problem) string {
 	e := getEncoder()
 	defer encoderPool.Put(e)
-	writePrefix(e, p.Graph, p.Model, p.Platform, p.FaultsK, p.FaultsPolicy)
+	writePrefix(e, &p)
 	writeCell(e, p.Deadline, p.MaxProcs, p.Approach)
 	return e.sum()
+}
+
+// scheduleKeyTag opens every ScheduleKey stream, so a schedule key and a
+// problem digest never share an input.
+const scheduleKeyTag = "lamps/graphhash/schedule-key/v1"
+
+// ScheduleKey returns the SHA-256 key of g's default list schedules on
+// pf's timing shape, for memoising schedules across runs. The EDF list
+// schedule of a graph on n processors depends on nothing but the graph
+// and the machine's timing shape — priorities are deadline-0 EDF and no
+// run passes release times — so the key covers exactly those: the graph
+// content as Sum writes it (weights and successor lists, never names or
+// labels), then the class count, and, on more than one class, the
+// processor count, every processor's class and every class's slot stretch
+// bits. A one-class machine adds nothing more, because the kernel ignores
+// its platform. Power models, deadlines and approaches stay out: a graph
+// that comes back under another deadline, approach or fault policy keys
+// the same schedules. It uses the pooled encoder and allocates nothing
+// once warm.
+func ScheduleKey(g *dag.Graph, pf *power.Platform) [sha256.Size]byte {
+	e := getEncoder()
+	defer encoderPool.Put(e)
+	e.string(scheduleKeyTag)
+	writeGraph(e, g)
+	nc := pf.NumClasses()
+	e.int(int64(nc))
+	if nc > 1 {
+		e.int(int64(pf.NumProcs()))
+		for p := 0; p < pf.NumProcs(); p++ {
+			e.int(int64(pf.ClassOf(p)))
+		}
+		for c := 0; c < nc; c++ {
+			e.float(pf.Scale(c))
+		}
+	}
+	e.flush()
+	e.h.Sum(e.out[:0])
+	return e.out
 }
 
 // writePrefix encodes the cell-independent part of a problem: the version
@@ -73,33 +114,20 @@ func Sum(p Problem) string {
 // platform writes nothing extra, so every pre-platform digest — and the
 // golden files and persistent stores keyed by them — is unchanged; the tag
 // plus framing guarantees no platform stream can collide with a
-// non-platform one. A fault-tolerance request (faultsK > 0) appends its own
+// non-platform one. A fault-tolerance request (FaultsK > 0) appends its own
 // tagged block under the same rules: K=0 streams are byte-identical to
 // pre-fault ones.
-func writePrefix(e *encoder, g *dag.Graph, m *power.Model, pf *power.Platform, faultsK int, faultsPolicy string) {
+func writePrefix(e *encoder, p *Problem) {
 	e.string(Version)
+	writeGraph(e, p.Graph)
 
-	e.int(int64(g.NumTasks()))
-	for v := 0; v < g.NumTasks(); v++ {
-		e.int(g.Weight(v))
-	}
-	// Adjacency: successor lists are sorted by the dag builder, so iterating
-	// tasks in index order yields a canonical edge enumeration.
-	e.int(int64(g.NumEdges()))
-	for v := 0; v < g.NumTasks(); v++ {
-		succs := g.Succs(v)
-		e.int(int64(len(succs)))
-		for _, s := range succs {
-			e.int(int64(s))
-		}
-	}
-
+	m := p.Model
 	if m == nil {
 		m = defaultModel()
 	}
 	writeModel(e, m)
 
-	if pf != nil {
+	if pf := p.Platform; pf != nil {
 		e.string("platform")
 		e.int(int64(pf.NumClasses()))
 		for c := 0; c < pf.NumClasses(); c++ {
@@ -112,10 +140,26 @@ func writePrefix(e *encoder, g *dag.Graph, m *power.Model, pf *power.Platform, f
 		}
 	}
 
-	if faultsK > 0 {
+	if p.FaultsK > 0 {
 		e.string("faults")
-		e.int(int64(faultsK))
-		e.string(faultsPolicy)
+		e.int(int64(p.FaultsK))
+		e.string(p.FaultsPolicy)
+	}
+}
+
+// writeGraph encodes the graph content: the task count and every weight,
+// then the edge count and every task's successor count and successors.
+// Successor lists are sorted by the dag builder, so iterating tasks in
+// index order yields a canonical edge enumeration.
+func writeGraph(e *encoder, g *dag.Graph) {
+	n := g.NumTasks()
+	e.int(int64(n))
+	for v := 0; v < n; v++ {
+		e.int(g.Weight(v))
+	}
+	e.int(int64(g.NumEdges()))
+	for v := 0; v < n; v++ {
+		e.list(g.Succs(v))
 	}
 }
 
@@ -144,32 +188,15 @@ func writeCell(e *encoder, deadline float64, maxProcs int, approach string) {
 	e.string(approach)
 }
 
-// Hasher derives the digests of many problems sharing one graph and power
-// model — the cells of a sweep grid. The shared prefix (version, graph
-// structure, model constants) is hashed once and its state snapshot reused,
-// so each cell key costs O(1) instead of re-encoding the whole graph.
-// Hasher.Cell and Sum are guaranteed to agree: both write through the same
-// encoder functions.
+// Hasher derives the digests of many problems sharing one cell-independent
+// prefix — the cells of a sweep grid. The prefix (version, graph
+// structure, model or platform, fault-tolerance request) is hashed once
+// and its state snapshot reused, so each cell key costs O(1) instead of
+// re-encoding the whole graph. Hasher.Cell and Sum are guaranteed to
+// agree: both write through the same encoder functions.
 type Hasher struct {
-	graph        *dag.Graph
-	model        *power.Model
-	platform     *power.Platform
-	faultsK      int
-	faultsPolicy string
-	state        []byte // marshaled sha256 state after the prefix; nil = recompute
-}
-
-// NewHasher returns a Hasher for problems over the given graph and model
-// (nil model selects power.Default70nm()).
-func NewHasher(g *dag.Graph, m *power.Model) *Hasher {
-	return newHasher(g, m, nil, 0, "")
-}
-
-// NewPlatformHasher returns a Hasher for problems over the given graph and
-// heterogeneous platform; its cells agree with Sum of the equivalent
-// Problem{Platform: pf}.
-func NewPlatformHasher(g *dag.Graph, pf *power.Platform) *Hasher {
-	return newHasher(g, nil, pf, 0, "")
+	prefix Problem // Deadline, MaxProcs and Approach are unused
+	state  []byte  // marshaled sha256 state after the prefix; nil = recompute
 }
 
 // NewProblemHasher returns a Hasher sharing p's whole cell-independent
@@ -177,14 +204,10 @@ func NewPlatformHasher(g *dag.Graph, pf *power.Platform) *Hasher {
 // MaxProcs and Approach on p are ignored; Cell supplies them. Its cells
 // agree with Sum of the equivalent Problem.
 func NewProblemHasher(p Problem) *Hasher {
-	return newHasher(p.Graph, p.Model, p.Platform, p.FaultsK, p.FaultsPolicy)
-}
-
-func newHasher(g *dag.Graph, m *power.Model, pf *power.Platform, faultsK int, faultsPolicy string) *Hasher {
-	hr := &Hasher{graph: g, model: m, platform: pf, faultsK: faultsK, faultsPolicy: faultsPolicy}
+	hr := &Hasher{prefix: p}
 	e := getEncoder()
 	defer encoderPool.Put(e)
-	writePrefix(e, g, m, pf, faultsK, faultsPolicy)
+	writePrefix(e, &p)
 	e.flush()
 	if mb, ok := e.h.(encoding.BinaryMarshaler); ok {
 		if st, err := mb.MarshalBinary(); err == nil {
@@ -194,8 +217,8 @@ func newHasher(g *dag.Graph, m *power.Model, pf *power.Platform, faultsK int, fa
 	return hr
 }
 
-// Cell returns the digest of the problem {graph, model, deadline, maxProcs,
-// approach}, identical to Sum of the equivalent Problem.
+// Cell returns the digest of the prefix problem with the given deadline,
+// processor cap and approach, identical to Sum of the equivalent Problem.
 func (hr *Hasher) Cell(deadline float64, maxProcs int, approach string) string {
 	e := getEncoder()
 	defer encoderPool.Put(e)
@@ -207,7 +230,7 @@ func (hr *Hasher) Cell(deadline float64, maxProcs int, approach string) string {
 	}
 	if !restored {
 		e.h.Reset()
-		writePrefix(e, hr.graph, hr.model, hr.platform, hr.faultsK, hr.faultsPolicy)
+		writePrefix(e, &hr.prefix)
 	}
 	writeCell(e, deadline, maxProcs, approach)
 	return e.sum()
@@ -261,6 +284,28 @@ func (e *encoder) int(v int64) {
 		e.flush()
 	}
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
+}
+
+// list writes len(vals) and then every value. A list that fits in a chunk
+// goes in under one room check; a longer one is split across flushes, so
+// the buffer never grows past a chunk.
+func (e *encoder) list(vals []int32) {
+	if len(e.buf)+8*(1+len(vals)) > encoderChunk {
+		e.flush()
+	}
+	buf := binary.LittleEndian.AppendUint64(e.buf, uint64(len(vals)))
+	for {
+		k := min(len(vals), (encoderChunk-len(buf))/8)
+		for _, v := range vals[:k] {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		if vals = vals[k:]; len(vals) == 0 {
+			break
+		}
+		e.h.Write(buf)
+		buf = buf[:0]
+	}
+	e.buf = buf
 }
 
 func (e *encoder) float(f float64) {

@@ -234,12 +234,12 @@ func TestFraming(t *testing.T) {
 
 // TestHasherMatchesSum pins the sweep fast path to the canonical encoding:
 // for every corpus problem, the per-cell digest derived from the shared
-// graph+model prefix must equal Sum of the full problem. A divergence here
-// would silently split the result cache between the schedule and sweep
-// endpoints.
+// graph+model prefix must equal Sum of the full problem, whatever cell
+// fields the prefix problem carries. A divergence here would silently split
+// the result cache between the schedule and sweep endpoints.
 func TestHasherMatchesSum(t *testing.T) {
 	for name, p := range corpus(t) {
-		h := NewHasher(p.Graph, p.Model)
+		h := NewProblemHasher(p)
 		if got, want := h.Cell(p.Deadline, p.MaxProcs, p.Approach), Sum(p); got != want {
 			t.Errorf("%s: Hasher.Cell = %s, Sum = %s", name, got, want)
 		}
@@ -259,7 +259,7 @@ func TestHasherMatchesSum(t *testing.T) {
 // hash state cannot be marshaled.
 func TestHasherWithoutSnapshot(t *testing.T) {
 	for name, p := range corpus(t) {
-		h := NewHasher(p.Graph, p.Model)
+		h := NewProblemHasher(p)
 		h.state = nil // force the slow path
 		if got, want := h.Cell(p.Deadline, p.MaxProcs, p.Approach), Sum(p); got != want {
 			t.Errorf("%s: fallback Cell = %s, Sum = %s", name, got, want)

@@ -24,7 +24,7 @@ func platformGraph(t *testing.T) *dag.Graph {
 	return g
 }
 
-func makePlatform(t *testing.T, lpName string, lpVddMax float64, procs []int) *power.Platform {
+func makePlatform(t testing.TB, lpName string, lpVddMax float64, procs []int) *power.Platform {
 	t.Helper()
 	lp := *power.Default70nm()
 	lp.VddMax = lpVddMax
@@ -107,12 +107,12 @@ func TestPlatformDigestIndependentOfModelField(t *testing.T) {
 }
 
 // TestPlatformHasherMatchesSum pins the sweep fast path for platform
-// problems: NewPlatformHasher's cells must agree with Sum, both on the
+// problems: NewProblemHasher's cells must agree with Sum, both on the
 // snapshot-restore path and the recompute fallback.
 func TestPlatformHasherMatchesSum(t *testing.T) {
 	g := platformGraph(t)
 	pf := makePlatform(t, "lp", 0.85, []int{0, 0, 0, 1})
-	h := NewPlatformHasher(g, pf)
+	h := NewProblemHasher(Problem{Graph: g, Platform: pf})
 	for i, d := range []float64{0.001, 0.5, 2, 8} {
 		p := Problem{Graph: g, Platform: pf, Deadline: d, MaxProcs: i, Approach: "LAMPS+PS"}
 		if got, want := h.Cell(d, i, "LAMPS+PS"), Sum(p); got != want {

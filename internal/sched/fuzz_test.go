@@ -21,6 +21,7 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`[]`)
 	f.Add(`{"tasks":[{"id":0,"preds":[0]}]}`)
 	f.Add(`{"name":"x","num_procs":1,"makespan_cycles":8,"tasks":[{"id":0,"weight_cycles":5,"proc":0,"start_cycles":0,"finish_cycles":8}]}`)
+	f.Add(`{"name":"x","num_procs":1000000000000000000,"makespan_cycles":5,"tasks":[{"id":0,"weight_cycles":5,"proc":0,"start_cycles":0,"finish_cycles":5}]}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		s, err := sched.ReadJSON(strings.NewReader(in))
 		if err != nil {

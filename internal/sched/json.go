@@ -51,19 +51,30 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
+// MaxJSONProcs bounds the num_procs ReadJSON accepts: a document may claim
+// at most this many processors, or one per task if it has more tasks. That
+// admits every schedule the engine writes — it never employs more
+// processors than the graph has tasks — and keeps the per-processor state
+// ReadJSON rebuilds proportional to the document.
+const MaxJSONProcs = 1 << 16
+
 // ReadJSON restores a schedule written by WriteJSON. It checks only what it
 // needs to build a well-formed Schedule — the document's shape, dense task
-// ids, a buildable graph and every processor index in range — and rebuilds
-// the finish order and per-processor lists. It does not judge the
-// placement: slot lengths depend on the machine (a class-stretched slot on
-// a platform is longer than the task's weight), which only the caller
-// knows, so legality is for verify.Schedule or verify.PlatformSchedule.
+// ids, a buildable graph, a processor count within MaxJSONProcs and every
+// processor index in range — and rebuilds the finish order and
+// per-processor lists. It does not judge the placement: slot lengths
+// depend on the machine (a class-stretched slot on a platform is longer
+// than the task's weight), which only the caller knows, so legality is for
+// verify.Schedule or verify.PlatformSchedule.
 func ReadJSON(r io.Reader) (*Schedule, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var doc scheduleJSON
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("sched: decoding schedule: %w", err)
+	}
+	if limit := max(len(doc.Tasks), MaxJSONProcs); doc.NumProcs > limit {
+		return nil, fmt.Errorf("sched: num_procs %d exceeds the limit of %d", doc.NumProcs, limit)
 	}
 	b := dag.NewBuilder(doc.Name)
 	for i, tk := range doc.Tasks {

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -577,7 +578,8 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScheduleJSONRejectsCorrupt: malformed documents fail in ReadJSON;
+// TestScheduleJSONRejectsCorrupt: malformed documents, and documents
+// claiming more than MaxJSONProcs processors, fail in ReadJSON;
 // a well-formed but illegal placement (the wrong makespan) is restored and
 // then rejected by the verifier.
 func TestScheduleJSONRejectsCorrupt(t *testing.T) {
@@ -588,6 +590,9 @@ func TestScheduleJSONRejectsCorrupt(t *testing.T) {
 		`{"name":"x","num_procs":1,"makespan_cycles":5,"tasks":[{"id":1,"weight_cycles":5,"proc":0,"start_cycles":0,"finish_cycles":5}]}`, // non-dense ids
 		`{"name":"x","num_procs":1,"makespan_cycles":9,"tasks":[{"id":0,"weight_cycles":5,"proc":0,"start_cycles":0,"finish_cycles":5}]}`, // wrong makespan
 		`{"name":"x","num_procs":1,"makespan_cycles":5,"tasks":[{"id":0,"weight_cycles":5,"proc":3,"start_cycles":0,"finish_cycles":5}]}`, // proc out of range
+		// More processors than ReadJSON may allocate state for.
+		`{"name":"x","num_procs":1000000000000000000,"makespan_cycles":5,"tasks":[{"id":0,"weight_cycles":5,"proc":0,"start_cycles":0,"finish_cycles":5}]}`,
+		fmt.Sprintf(`{"name":"x","num_procs":%d,"makespan_cycles":5,"tasks":[{"id":0,"weight_cycles":5,"proc":0,"start_cycles":0,"finish_cycles":5}]}`, sched.MaxJSONProcs+1),
 	}
 	for i, in := range cases {
 		s, err := sched.ReadJSON(strings.NewReader(in))

@@ -227,17 +227,6 @@ func RunCtx(ctx context.Context, approach string, g *Graph, cfg Config) (*Result
 	return core.RunCtx(ctx, approach, g, cfg)
 }
 
-// Context-aware forms of the heuristics and bounds, with the same
-// cancellation granularity as RunCtx.
-var (
-	ScheduleAndStretchCtx   = core.ScheduleAndStretchCtx
-	ScheduleAndStretchPSCtx = core.ScheduleAndStretchPSCtx
-	LAMPSCtx                = core.LAMPSCtx
-	LAMPSPSCtx              = core.LAMPSPSCtx
-	LimitSFCtx              = core.LimitSFCtx
-	LimitMFCtx              = core.LimitMFCtx
-)
-
 // Engine API (see internal/core): cancellation, progress observation and
 // parallel search behind one front door. The package-level functions above
 // are thin wrappers over a zero-value Engine.

@@ -232,7 +232,7 @@ func TestFacadePeriodic(t *testing.T) {
 func TestFacadeEngine(t *testing.T) {
 	g, deadline := MPEG1Fig9()
 	cfg := Config{Model: Default70nm(), Deadline: deadline}
-	plain, err := LAMPSPSCtx(context.Background(), g, cfg)
+	plain, err := RunCtx(context.Background(), ApproachLAMPSPS, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +253,8 @@ func TestFacadeEngine(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := LAMPSPSCtx(ctx, g, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled LAMPSPSCtx: err = %v", err)
+	if _, err := RunCtx(ctx, ApproachLAMPSPS, g, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled RunCtx: err = %v", err)
 	}
 }
 
