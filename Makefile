@@ -91,7 +91,10 @@ bench:
 # stay within its 8-alloc arena-backed per-request budget, and a warm K=1
 # request within its own budget (the plain tail plus the backup plans it
 # returns); a warm request served from the schedule memo must allocate
-# exactly the plain tail — the key digest and restores add nothing; and a
+# exactly the plain tail — the key digest and restores add nothing — and a
+# warm K=1 request served schedules and backup plans from the memo exactly
+# that tail plus the one plan it detaches into its result; a warm LIMIT
+# bound allocates its result alone; and a
 # warm /v1/schedule cache hit must stay within its
 # handler-layer bound (decode + graph build + digest only — never a
 # re-render), the same small constant for a 4-task and a 1000-task graph,
@@ -101,7 +104,7 @@ bench:
 alloc-gate:
 	$(GO) test -run 'TestScheduleIntoSteadyStateZeroAlloc' -count=1 -v ./internal/sched
 	$(GO) test -run 'TestGapProfileEvaluateZeroAlloc|TestResetFTSteadyStateZeroAlloc' -count=1 -v ./internal/energy
-	$(GO) test -run 'TestRunBatchSteadyStateZeroAlloc|TestRunBatchMemoWarmHitAllocs|TestRunBatchFaultsSteadyStateAllocBound' -count=1 -v ./internal/core
+	$(GO) test -run 'TestRunBatchSteadyStateZeroAlloc|TestRunBatchMemoWarmHitAllocs|TestRunBatchFaultsSteadyStateAllocBound|TestRunBatchFaultsMemoWarmAllocs|TestLimitBoundsSteadyStateAllocs' -count=1 -v ./internal/core
 	$(GO) test -run 'TestScheduleWarmCacheHitAllocBound' -count=1 -v ./internal/server
 
 # The persistence and overload gate: the segment-log store must round-trip

@@ -430,6 +430,12 @@ func kernelBenchmarks(gs []*dag.Graph, repeat int) ([]kernelReport, error) {
 	}
 	out = append(out, memoRows...)
 
+	ftRows, err := faultBenchmarks(g, m, pf, measure)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, ftRows...)
+
 	front, err := frontDoorBenchmarks(g, m, measure)
 	if err != nil {
 		return nil, err
@@ -501,6 +507,48 @@ func memoBenchmarks(g *dag.Graph, m *power.Model, measure func(string, func(*tes
 		runOn(&cold, g)
 	})
 	rows[2].AllocsPerOp, rows[2].BytesPerOp = steadyAllocs(200, warmOp)
+	return rows, benchErr
+}
+
+// faultBenchmarks measures one serial K=1 LAMPS run on the 1000-task graph,
+// on the default machine and on the LP×7 + HP×1 platform under the
+// primary-HP/backup-LP policy: without a schedule memo, where every
+// candidate count is list-scheduled and backup-planned, and with a warm
+// memo that restores every schedule and plan, detaching only the winning
+// plan. Their gap is what scheduling and planning cost a fault-tolerant
+// request. The platform's eight processors make the graph work-bound, so
+// its deadline is ten critical paths (at four, no count recovers in
+// time). allocs/op is counted by steadyAllocs, like the memo rows.
+func faultBenchmarks(g *dag.Graph, m *power.Model, pf *power.Platform, measure func(string, func(*testing.B)) kernelReport) ([]kernelReport, error) {
+	var benchErr error
+	var rows []kernelReport
+	for _, c := range []struct {
+		name   string
+		cfg    core.Config
+		policy core.FaultPolicy
+	}{
+		{"engine_lamps_ft_layered1000", core.DeadlineFactor(g, m, 2), core.FaultBackupAnywhere},
+		{"engine_lamps_ft_layered1000_lp7hp1", core.DeadlineFactorPlatform(g, pf, 10), core.FaultPrimaryHPBackupLP},
+	} {
+		c.cfg.Faults = &core.FaultConfig{K: 1, Policy: c.policy}
+		opOn := func(eng *core.Engine) func() {
+			return func() {
+				if _, err := eng.Run(context.Background(), core.ApproachLAMPS, g); err != nil {
+					benchErr = fmt.Errorf("%s: %w", c.name, err)
+				}
+			}
+		}
+		plain := opOn(&core.Engine{Config: c.cfg})
+		warm := opOn(&core.Engine{Config: c.cfg, Memo: core.NewScheduleMemo()})
+		warm()
+		pair := []kernelReport{
+			measure(c.name, loop(plain)),
+			measure(c.name+"_memo_warm", loop(warm)),
+		}
+		pair[0].AllocsPerOp, pair[0].BytesPerOp = steadyAllocs(20, plain)
+		pair[1].AllocsPerOp, pair[1].BytesPerOp = steadyAllocs(200, warm)
+		rows = append(rows, pair...)
+	}
 	return rows, benchErr
 }
 
@@ -727,24 +775,32 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(code int)        { w.status = code }
 
-// steadyAllocs returns fn's allocations and allocated bytes per call over
-// a fixed number of rounds with the garbage collector paused. Every GC
-// cycle drops the engine's pooled request arenas, and the next request
-// rebuilds one, so testing.Benchmark's per-op counts on a pooled path
-// drift with GC timing. With the collector off, the pools stay warm and
-// the count is the steady-state figure TestRunBatchSteadyStateZeroAlloc
-// bounds. The rounds are few enough that the paused heap stays small.
+// steadyAllocs returns the fewest allocations, and the fewest allocated
+// bytes, that one call of fn made over a fixed number of rounds with the
+// garbage collector paused. Every GC cycle drops the engine's pooled
+// request arenas, and the next request rebuilds one, so testing.Benchmark's
+// per-op counts on a pooled path drift with GC timing. With the collector
+// off, the pools stay warm and the count is the steady-state figure
+// TestRunBatchSteadyStateZeroAlloc bounds. Taking the fewest rather than
+// the mean counts out what the Go runtime now and then allocates for
+// itself on a concurrent path — a sudog when a goroutine blocked in a
+// select (the server's singleflight wait) wakes on another P, a goroutine
+// descriptor when the free list is momentarily empty — which a mean would
+// count, so that the same binary read differently run to run. The rounds
+// are few enough that the paused heap stays small.
 func steadyAllocs(rounds int, fn func()) (allocs, bytes int64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fn() // re-warm the pools the benchmark's last GC cycle emptied
+	allocs, bytes = math.MaxInt64, math.MaxInt64
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	for range rounds {
+		runtime.ReadMemStats(&before)
 		fn()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, int64(after.Mallocs-before.Mallocs))
+		bytes = min(bytes, int64(after.TotalAlloc-before.TotalAlloc))
 	}
-	runtime.ReadMemStats(&after)
-	return int64(after.Mallocs-before.Mallocs) / int64(rounds),
-		int64(after.TotalAlloc-before.TotalAlloc) / int64(rounds)
+	return allocs, bytes
 }
 
 // loop is a benchmark body that calls fn b.N times.

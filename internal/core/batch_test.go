@@ -11,6 +11,7 @@ import (
 
 	"lamps/internal/dag"
 	"lamps/internal/power"
+	"lamps/internal/taskgen"
 	"lamps/internal/workpool"
 )
 
@@ -396,6 +397,117 @@ func TestRunBatchFaultsSteadyStateAllocBound(t *testing.T) {
 				tc.name, perRequest, budget)
 		}
 		t.Logf("%s: fault-tolerant batch steady state: %.1f allocs/request", tc.name, perRequest)
+	}
+}
+
+// TestRunBatchFaultsMemoWarmAllocs is the backup-plan half of the memo
+// alloc gate: a warm K=1 request whose every schedule and backup plan is
+// restored from a shared memo allocates exactly what the same request
+// without faults does from a warm memo, plus the winning plan it detaches
+// into the Result (one plan struct and its two arrays) — whatever the
+// candidate count, since a losing candidate's plan is unpacked into pooled
+// scratch only while it is profiled.
+func TestRunBatchFaultsMemoWarmAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate skipped in -short mode")
+	}
+	m := power.Default70nm()
+	pf := heteroTestPlatform(t)
+	small := buildFig4a(t, coarseWeight)
+	wide := randomGraph(rand.New(rand.NewSource(12)), 48, 0.08, coarseWeight)
+	reqs := func(g *dag.Graph, cfg Config, k int, policies ...FaultPolicy) []BatchRequest {
+		var out []BatchRequest
+		for i, approach := range []string{ApproachLAMPS, ApproachLAMPSPS} {
+			c := cfg
+			c.Faults = &FaultConfig{K: k, Policy: policies[i]}
+			out = append(out, BatchRequest{Approach: approach, Graph: g, Config: c})
+		}
+		return out
+	}
+	// perRequest returns the warm allocs per request and the memo's counter
+	// movement over the measured runs.
+	perRequest := func(memo *ScheduleMemo, reqs []BatchRequest) (float64, MemoStats) {
+		eng := Engine{Memo: memo} // serial: measure the request loop, not goroutine scheduling
+		run := func() {
+			for _, br := range eng.RunBatch(context.Background(), reqs) {
+				if br.Err != nil {
+					t.Fatal(br.Err)
+				}
+			}
+		}
+		for i := 0; i < 5; i++ {
+			run()
+		}
+		before := memo.Stats()
+		allocs := testing.AllocsPerRun(50, run) / float64(len(reqs))
+		after := memo.Stats()
+		return allocs, MemoStats{
+			Misses:     after.Misses - before.Misses,
+			PlanHits:   after.PlanHits - before.PlanHits,
+			PlanMisses: after.PlanMisses - before.PlanMisses,
+		}
+	}
+	const detachedPlan = 3
+	// The 48-task graph's deadline is loose enough that every candidate is
+	// recovery-feasible: an infeasible candidate's error allocates, and
+	// only on the K=1 side.
+	for _, tc := range []struct {
+		name     string
+		g        *dag.Graph
+		cfg      Config
+		policies []FaultPolicy
+	}{
+		{"model/fig4a", small, DeadlineFactor(small, m, 3), []FaultPolicy{FaultBackupAnywhere, FaultBackupAnywhere}},
+		{"model/48 tasks", wide, DeadlineFactor(wide, m, 8), []FaultPolicy{FaultBackupAnywhere, FaultPrimaryHPBackupLP}},
+		{"platform/fig4a", small, DeadlineFactorPlatform(small, pf, 3), []FaultPolicy{FaultPrimaryHPBackupLP, FaultBackupAnywhere}},
+	} {
+		memo := NewScheduleMemo()
+		plain, _ := perRequest(memo, reqs(tc.g, tc.cfg, 0, tc.policies...))
+		ft, warm := perRequest(memo, reqs(tc.g, tc.cfg, 1, tc.policies...))
+		if warm.Misses != 0 || warm.PlanMisses != 0 || warm.PlanHits == 0 {
+			t.Fatalf("%s: warm K=1 requests were not served from the memo: %+v", tc.name, warm)
+		}
+		if raceEnabled {
+			// The race detector's instrumentation forces escapes and sync.Pool
+			// drops a share of its items at random, more so the more
+			// candidates a request profiles: only a loose bound holds there.
+			if ft > 160 {
+				t.Errorf("%s: memo-warm K=1 request allocates %.1f allocs/request under -race, want <= 160", tc.name, ft)
+			}
+		} else if ft != plain+detachedPlan {
+			t.Errorf("%s: memo-warm K=1 request allocates %.1f allocs/request, want exactly %g (K=0 tail %g + detached plan %d)",
+				tc.name, ft, plain+detachedPlan, plain, detachedPlan)
+		}
+		t.Logf("%s: memo-warm K=1 steady state: %.1f allocs/request, %d plans restored (K=0: %.1f)", tc.name, ft, warm.PlanHits, plain)
+	}
+}
+
+// TestLimitBoundsSteadyStateAllocs is the LIMIT half of the alloc gate: a
+// warm LIMIT-SF or LIMIT-MF run on a model — no platform configured —
+// reuses a pooled arena's one-class platform instead of building one, so
+// it allocates its Result and nothing else.
+func TestLimitBoundsSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate skipped in -short mode")
+	}
+	g := taskgen.Coarse.Scale(taskgen.Applications()[0])
+	for _, approach := range []string{ApproachLimitSF, ApproachLimitMF} {
+		eng := Engine{Config: DeadlineFactor(g, nil, 2)}
+		run := func() {
+			if _, err := eng.Run(context.Background(), approach, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		allocs := testing.AllocsPerRun(100, run)
+		budget := 1.0
+		if raceEnabled {
+			budget = 10
+		}
+		if allocs > budget {
+			t.Errorf("%s: warm run allocates %.1f times, want <= %g — the bound rebuilds its machine", approach, allocs, budget)
+		}
+		t.Logf("%s: %.1f allocs/run", approach, allocs)
 	}
 }
 

@@ -245,7 +245,8 @@ func (r *run) each(n int, fn func(i int)) {
 type candidate struct {
 	n      int
 	s      *sched.Schedule
-	plan   *sched.BackupPlan    // fault-tolerant runs: the candidate's backup plan
+	plan   *sched.BackupPlan    // fault-tolerant runs: the plan the planner made for this candidate,
+	stored *sched.PackedPlan    // or the packed plan Engine.Memo held for it instead
 	prof   *energy.GapProfile   // pooled; set lazily by profileIn, released by releaseProfiles
 	pt     power.OperatingPoint // the winning operating point
 	b      energy.Breakdown
@@ -258,8 +259,11 @@ type candidate struct {
 // primary makespan otherwise. Feasibility and level sweeps are driven by
 // this value, so fault-tolerant runs keep enough slack for recovery.
 func (c *candidate) feasCycles() int64 {
-	if c.plan != nil {
+	switch {
+	case c.plan != nil:
 		return c.plan.RecoveryMakespan
+	case c.stored != nil:
+		return c.stored.RecoveryMakespan()
 	}
 	return c.s.Makespan
 }
@@ -271,12 +275,21 @@ var profilePool = sync.Pool{New: func() any { return new(energy.GapProfile) }}
 
 // profileIn returns the candidate's gap profile, extracting it per core
 // class from the built schedule and its backup plan (nil on a plain run)
-// on first use. Each candidate is profiled by exactly one goroutine;
-// concurrent EvaluatePoint calls on the finished profile are safe.
+// on first use; a plan restored from the memo is unpacked into pooled
+// scratch for the extraction only. Each candidate is profiled by exactly
+// one goroutine; concurrent EvaluatePoint calls on the finished profile
+// are safe.
 func (c *candidate) profileIn(r *run) *energy.GapProfile {
 	if c.prof == nil {
 		c.prof = profilePool.Get().(*energy.GapProfile)
-		c.prof.ResetPlatformFT(c.s, r.pf, c.plan)
+		if c.stored != nil {
+			plan := planPool.Get().(*sched.BackupPlan)
+			c.stored.Unpack(plan, r.sc.g, r.pf)
+			c.prof.ResetPlatformFT(c.s, r.pf, plan)
+			planPool.Put(plan)
+		} else {
+			c.prof.ResetPlatformFT(c.s, r.pf, c.plan)
+		}
 	}
 	return c.prof
 }
@@ -306,9 +319,7 @@ func (r *run) buildAll(cands []candidate) error {
 		c := &cands[i]
 		c.s, c.err = r.sc.at(c.n)
 		if c.err == nil && ft {
-			bp := plannerPool.Get().(*sched.BackupPlanner)
-			c.plan, c.err = r.planBackups(bp, c.s)
-			plannerPool.Put(bp)
+			c.plan, c.stored, c.err = r.planBackups(c.s)
 		}
 	})
 	for i := range cands {
@@ -325,23 +336,62 @@ func (r *run) buildAll(cands []candidate) error {
 // per call and owned by the caller.
 var plannerPool = sync.Pool{New: func() any { return new(sched.BackupPlanner) }}
 
-// planBackups plans the backup layer of one built schedule on bp's scratch
-// and, under SelfCheck, holds it to the independent plan verifier before
-// the engine evaluates any energy on top of it.
-func (r *run) planBackups(bp *sched.BackupPlanner, s *sched.Schedule) (*sched.BackupPlan, error) {
-	plan, err := bp.Plan(s, r.pf, r.cfg.faultPolicy())
-	if err != nil {
-		return nil, err
-	}
-	if r.cfg.SelfCheck {
-		if verr := verify.FaultPlan(r.sc.g, s, plan, verify.FaultPlanOptions{
-			Platform: r.pf,
-			Policy:   r.cfg.faultPolicy(),
-		}); verr != nil {
-			return nil, fmt.Errorf("core: self-check: backup plan on %d processors: %w", s.NumProcs, verr)
+// planPool recycles the scratch plans that memo-restored plans are
+// unpacked into while a candidate is checked or profiled.
+var planPool = sync.Pool{New: func() any { return new(sched.BackupPlan) }}
+
+// planBackups returns the backup layer of one built schedule: the packed
+// plan Engine.Memo holds for its processor count and policy, or else a
+// fresh plan from the planner on pooled scratch, of which the memo then
+// keeps a packed copy. Under SelfCheck either is held to the independent
+// plan verifier — a stored one unpacked into pooled scratch — before the
+// engine evaluates any energy on top of it, and only a plan that passed is
+// stored.
+func (r *run) planBackups(s *sched.Schedule) (*sched.BackupPlan, *sched.PackedPlan, error) {
+	policy := r.cfg.faultPolicy()
+	memo := r.sc.memo
+	if memo != nil {
+		if p := memo.getPlan(&r.sc.key, s.NumProcs, policy); p != nil {
+			if r.cfg.SelfCheck {
+				plan := planPool.Get().(*sched.BackupPlan)
+				p.Unpack(plan, r.sc.g, r.pf)
+				err := r.checkPlan(s, plan, policy)
+				planPool.Put(plan)
+				if err != nil {
+					return nil, nil, err
+				}
+			}
+			return nil, p, nil
 		}
 	}
-	return plan, nil
+	bp := plannerPool.Get().(*sched.BackupPlanner)
+	plan, err := bp.Plan(s, r.pf, policy)
+	plannerPool.Put(bp)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := r.checkPlan(s, plan, policy); err != nil {
+		return nil, nil, err
+	}
+	if memo != nil {
+		memo.putPlan(&r.sc.key, s.NumProcs, policy, sched.PackPlan(plan))
+	}
+	return plan, nil, nil
+}
+
+// checkPlan is the plan half of Config.SelfCheck: it holds plan to the
+// independent verifier.
+func (r *run) checkPlan(s *sched.Schedule, plan *sched.BackupPlan, policy sched.FaultPolicy) error {
+	if !r.cfg.SelfCheck {
+		return nil
+	}
+	if verr := verify.FaultPlan(r.sc.g, s, plan, verify.FaultPlanOptions{
+		Platform: r.pf,
+		Policy:   policy,
+	}); verr != nil {
+		return fmt.Errorf("core: self-check: backup plan on %d processors: %w", s.NumProcs, verr)
+	}
+	return nil
 }
 
 // evalAll picks each candidate's operating point and energy on the run's
@@ -455,10 +505,11 @@ func (r *run) stats(cands []candidate) Stats {
 // Level is the reference class's level of the winning point; a
 // heterogeneous result additionally carries the platform and the point.
 //
-// The winning schedule is detached with CloneCompact: the memoised original
-// is arena scratch and will be recycled when the run closes, while the
-// Result may outlive the request indefinitely (the serving layer's cache
-// keeps rendered results).
+// The winning schedule is detached with CloneCompact — the memoised
+// original is arena scratch and will be recycled when the run closes, while
+// the Result may outlive the request indefinitely (the serving layer's
+// cache keeps rendered results) — and a winning plan the memo held is
+// restored into arrays of its own.
 func reduce(r *run, approach string, g *dag.Graph, cands []candidate) (*Result, error) {
 	// Phase 1 sizes the candidate range by the *primary* makespan, so on the
 	// fault-tolerant path the smallest counts can still be
@@ -493,8 +544,11 @@ func reduce(r *run, approach string, g *dag.Graph, cands []candidate) (*Result, 
 		NumProcs: best.n,
 		Level:    best.pt.Levels[r.pf.RefClass()],
 		Schedule: best.s.CloneCompact(),
-		Backups:  best.plan, // owned by this candidate, never pooled
+		Backups:  best.plan, // a freshly planned plan is the candidate's own
 		Energy:   best.b,
+	}
+	if best.stored != nil {
+		res.Backups = best.stored.Restore(g, r.pf)
 	}
 	if r.cfg.heterogeneous() {
 		res.Platform = r.pf
@@ -620,7 +674,9 @@ func (e *Engine) limit(ctx context.Context, g *dag.Graph, fn func(*dag.Graph, Co
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	hub := obsHub{o: e.Observer}
-	hub.phase(PhaseEvaluate)
+	if e.Observer != nil {
+		// One callback from one goroutine: nothing to serialise.
+		e.Observer.OnPhase(PhaseEvaluate)
+	}
 	return fn(g, e.Config)
 }

@@ -76,7 +76,9 @@ func LimitMF(g *dag.Graph, cfg Config) (*Result, error) {
 
 // limitMachine validates cfg and returns the machine a LIMIT bound is
 // computed on: the configured platform, or a one-class platform of the
-// model (the bounds read only its ladder, so one processor suffices).
+// model. The bounds read only its ladder, so any processor count serves,
+// and a pooled arena's cached platform of the same model is reused: a warm
+// bound builds no platform.
 func (c *Config) limitMachine(g *dag.Graph) (*power.Platform, error) {
 	if err := c.validate(g); err != nil {
 		return nil, err
@@ -84,11 +86,9 @@ func (c *Config) limitMachine(g *dag.Graph) (*power.Platform, error) {
 	if c.Platform != nil {
 		return c.Platform, nil
 	}
-	pf, err := power.Homogeneous(1, c.model())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	return pf, nil
+	a := arenaPool.Get().(*arena)
+	defer arenaPool.Put(a)
+	return a.homogeneous(c.model(), 1)
 }
 
 // limitResult reports a closed-form bound: the graph's W work cycles at

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -327,8 +329,9 @@ func TestScheduleMemoLRUOrder(t *testing.T) {
 }
 
 // TestScheduleMemoConcurrentRuns: many concurrent runs — parallel engines
-// on a shared pool and RunBatch requests — share one memo and every result
-// matches the memo-less reference. Meant for -race.
+// on a shared pool and RunBatch requests, plain and K=1 under both fault
+// policies — share one memo, schedules and backup plans alike, and every
+// result matches the memo-less reference. Meant for -race.
 func TestScheduleMemoConcurrentRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m := power.Default70nm()
@@ -342,7 +345,14 @@ func TestScheduleMemoConcurrentRuns(t *testing.T) {
 	var jobs []job
 	for i := 0; i < 3; i++ {
 		g := randomGraph(rng, 36+8*i, 0.08, coarseWeight)
-		for _, cfg := range []Config{DeadlineFactor(g, m, 3), DeadlineFactorPlatform(g, pf, 3)} {
+		var cfgs []Config
+		for _, faults := range []*FaultConfig{nil, {K: 1}, {K: 1, Policy: FaultPrimaryHPBackupLP}} {
+			for _, cfg := range []Config{DeadlineFactor(g, m, 3), DeadlineFactorPlatform(g, pf, 3)} {
+				cfg.Faults = faults
+				cfgs = append(cfgs, cfg)
+			}
+		}
+		for _, cfg := range cfgs {
 			for _, approach := range []string{ApproachSS, ApproachLAMPS, ApproachLAMPSPS} {
 				res, err := (&Engine{Config: cfg}).Run(context.Background(), approach, g)
 				if err != nil {
@@ -385,7 +395,193 @@ func TestScheduleMemoConcurrentRuns(t *testing.T) {
 			t.Errorf("batch request %d differs with a shared memo", i)
 		}
 	}
-	if st := memo.Stats(); st.Hits == 0 {
+	if st := memo.Stats(); st.Hits == 0 || st.PlanHits == 0 {
 		t.Errorf("concurrent runs never hit: %+v", st)
+	}
+}
+
+// memoPlans plans the backups of the EDF schedule on n processors through
+// a memo-backed run's own path twice — the first call plans and stores a
+// packed copy, the second returns the stored copy — and returns the planned
+// plan and the stored one restored, with the schedule.
+func memoPlans(t *testing.T, cfg Config, g *dag.Graph, n int, memo *ScheduleMemo) (s *sched.Schedule, fresh, restored *sched.BackupPlan) {
+	t.Helper()
+	r, err := (&Engine{Config: cfg, Memo: memo}).newRun(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.a.close()
+	if s, err = r.sc.at(n); err != nil {
+		t.Fatal(err)
+	}
+	fresh, stored, err := r.planBackups(s)
+	if err != nil || fresh == nil || stored != nil {
+		t.Fatalf("%d processors: first lookup returned plan %t, stored %t, err %v", n, fresh != nil, stored != nil, err)
+	}
+	again, stored, err := r.planBackups(s)
+	if err != nil || again != nil || stored == nil {
+		t.Fatalf("%d processors: second lookup returned plan %t, stored %t, err %v", n, again != nil, stored != nil, err)
+	}
+	return s.CloneCompact(), fresh, stored.Restore(g, r.pf)
+}
+
+// TestScheduleMemoPlanParity is the differential gate of the plan slots:
+// over the golden corpus on one class and on 6 LP + 2 HP, under both
+// policies and at every processor count, the plan a run plans and the one
+// it restores from the memo both equal a fresh sched.PlanBackups of the
+// same schedule — processors, times, recovery makespan, policy and the
+// BackupsOn index.
+func TestScheduleMemoPlanParity(t *testing.T) {
+	m := power.Default70nm()
+	pf := lp6hp2(t)
+	for _, g := range goldenGraphs(t) {
+		one, err := power.Homogeneous(max(2, g.MaxWidth()), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, machine := range []*power.Platform{one, pf} {
+			memo := NewScheduleMemo()
+			for _, policy := range []FaultPolicy{FaultBackupAnywhere, FaultPrimaryHPBackupLP} {
+				cfg := DeadlineFactorPlatform(g, machine, 3)
+				cfg.Faults = &FaultConfig{K: 1, Policy: policy}
+				for n := 2; n <= machine.NumProcs(); n++ {
+					s, fresh, restored := memoPlans(t, cfg, g, n, memo)
+					want, err := sched.PlanBackups(s, machine, policy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s on %d of %d classes, %s", g.Name(), n, machine.NumClasses(), policy)
+					if !reflect.DeepEqual(fresh, want) {
+						t.Errorf("%s: planned plan differs from PlanBackups", name)
+					}
+					if !reflect.DeepEqual(restored, want) {
+						t.Errorf("%s: restored plan differs from PlanBackups", name)
+					}
+				}
+			}
+			if st := memo.Stats(); st.PlanHits == 0 || st.PlanHits != st.PlanMisses {
+				t.Errorf("%s: every plan should miss once and hit once: %+v", g.Name(), st)
+			}
+		}
+	}
+}
+
+// TestScheduleMemoPlanDetached: a Result's backup plan shares no memory
+// with the memo, the pools or another Result — rewriting every array of a
+// returned plan, from a cold run and from warm ones, changes nothing a
+// later run restores, and a later run leaves the rewritten plan as it was.
+func TestScheduleMemoPlanDetached(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	g := randomGraph(rng, 40, 0.08, coarseWeight)
+	for _, cfg := range []Config{DeadlineFactor(g, power.Default70nm(), 4), DeadlineFactorPlatform(g, lp6hp2(t), 4)} {
+		cfg.Faults = &FaultConfig{K: 1, Policy: FaultPrimaryHPBackupLP}
+		want, err := (&Engine{Config: cfg}).Run(context.Background(), ApproachLAMPSPS, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo := NewScheduleMemo()
+		eng := Engine{Config: cfg, Memo: memo}
+		var prev *sched.BackupPlan
+		for run := 0; run < 3; run++ {
+			got, err := eng.Run(context.Background(), ApproachLAMPSPS, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Backups, want.Backups) || !bytes.Equal(renderWithBackups(t, got), renderWithBackups(t, want)) {
+				t.Fatalf("run %d: result differs from the memo-less one after the previous result was rewritten", run)
+			}
+			if prev != nil && (prev.Proc[0] != -1 || prev.Start[len(prev.Start)-1] != -1) {
+				t.Fatalf("run %d overwrote the previous result's plan", run)
+			}
+			pl := got.Backups
+			prev = pl
+			for v := range pl.Proc {
+				pl.Proc[v], pl.Start[v], pl.Finish[v] = -1, -1, -1
+			}
+			for p := 0; p < got.Schedule.NumProcs; p++ {
+				clear(pl.BackupsOn(p))
+			}
+		}
+		if st := memo.Stats(); st.PlanHits == 0 {
+			t.Errorf("warm runs never restored a plan: %+v", st)
+		}
+	}
+}
+
+// TestScheduleMemoCorruptPlanFailsSelfCheck: under SelfCheck a restored
+// plan passes the same verifier as a fresh one, so a stored slot whose
+// plan is illegal fails the run with a self-check error instead of
+// reaching a result.
+func TestScheduleMemoCorruptPlanFailsSelfCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	g := randomGraph(rng, 40, 0.08, coarseWeight)
+	cfg := DeadlineFactor(g, power.Default70nm(), 4)
+	cfg.Faults = &FaultConfig{K: 1}
+	cfg.SelfCheck = true
+	memo := NewScheduleMemo()
+	eng := Engine{Config: cfg, Memo: memo}
+	if _, err := eng.Run(context.Background(), ApproachLAMPS, g); err != nil {
+		t.Fatal(err)
+	}
+	// Replace every stored plan with one whose first backup starts at 0,
+	// before its primary finishes and its fault could be detected.
+	corrupted := 0
+	for _, e := range memo.entries {
+		for n, p := range e.plans[planSlot(FaultBackupAnywhere)] {
+			if p == nil {
+				continue
+			}
+			var bad sched.BackupPlan
+			p.Unpack(&bad, g, nil)
+			bad.Start[0] = 0
+			e.plans[planSlot(FaultBackupAnywhere)][n] = sched.PackPlan(&bad)
+			corrupted++
+		}
+	}
+	if corrupted == 0 {
+		t.Fatal("the cold run stored no plan")
+	}
+	_, err := eng.Run(context.Background(), ApproachLAMPS, g)
+	if err == nil || !strings.Contains(err.Error(), "self-check: backup plan") {
+		t.Fatalf("run over corrupted plans: err %v, want a backup-plan self-check failure", err)
+	}
+}
+
+// TestScheduleMemoKeyImpliesRefClass: the primary-HP/backup-LP policy reads
+// the platform's reference class, which the memo key does not write. It
+// needs not: the key writes every class's Scale, and the reference class
+// is always the lowest-index class whose Scale is exactly 1 — including
+// when classes tie on f_max or the fastest class is not the last.
+func TestScheduleMemoKeyImpliesRefClass(t *testing.T) {
+	lp := lpTestModel(t)
+	hp := power.Default70nm()
+	mid := *power.Default70nm()
+	mid.VddMax = 0.95
+	if err := mid.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for _, classes := range [][]*power.Model{
+		{lp, hp}, {hp, lp}, {hp, hp}, {lp, hp, hp}, {hp, lp, hp}, {&mid, lp, hp}, {lp, &mid}, {hp},
+	} {
+		var cc []power.CoreClass
+		procs := []int{}
+		for c, m := range classes {
+			cc = append(cc, power.CoreClass{Name: fmt.Sprintf("c%d", c), Model: m})
+			procs = append(procs, c, c)
+		}
+		pf, err := power.NewPlatform(cc, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := -1
+		for c := 0; c < pf.NumClasses(); c++ {
+			if pf.Scale(c) == 1 {
+				first = c
+				break
+			}
+		}
+		if pf.RefClass() != first {
+			t.Errorf("%d classes: reference class %d, lowest class with Scale 1 is %d", len(classes), pf.RefClass(), first)
+		}
 	}
 }

@@ -204,18 +204,8 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 	}
 	hpLP := policy == PrimaryHPBackupLP && pf != nil
 
-	// One allocation per element type: the plan's arrays and its
-	// per-processor index are detached into the caller's result together.
-	ints := make([]int32, 2*n+np+1)
-	times := make([]int64, 2*n)
-	plan := &BackupPlan{
-		Proc:      ints[:n:n],
-		Start:     times[:n:n],
-		Finish:    times[n:],
-		Policy:    policy,
-		byProc:    ints[n : 2*n : 2*n],
-		byProcOff: ints[2*n:],
-	}
+	plan := newBackupPlan(n, np)
+	plan.Policy = policy
 	for _, v := range order {
 		// The backup can start only after the fault is detectable (the
 		// primary slot's end) and after every predecessor's backup output is
@@ -285,6 +275,21 @@ func (bp *BackupPlanner) Plan(s *Schedule, pf *power.Platform, policy FaultPolic
 	}
 	plan.byProcOff[np] = k
 	return plan, nil
+}
+
+// newBackupPlan allocates a plan of n tasks on np processors with one
+// array per element type, so the plan's arrays and its per-processor index
+// are detached into the caller's result together: three allocations.
+func newBackupPlan(n, np int) *BackupPlan {
+	ints := make([]int32, 2*n+np+1)
+	times := make([]int64, 2*n)
+	return &BackupPlan{
+		Proc:      ints[:n:n],
+		Start:     times[:n:n],
+		Finish:    times[n:],
+		byProc:    ints[n : 2*n : 2*n],
+		byProcOff: ints[2*n:],
+	}
 }
 
 // earliestFit returns the earliest start >= lb at which a slot of dur

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -260,6 +261,16 @@ func FuzzBackupPlanMatchesReference(f *testing.F) {
 		var bp sched.BackupPlanner
 		if err := planMatchesReference(&bp, s, pf, policy); err != nil {
 			t.Fatal(err)
+		}
+		// A packed copy of the plan restores it exactly.
+		plan, err := bp.Plan(s, pf, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back sched.BackupPlan
+		sched.PackPlan(plan).Unpack(&back, g, pf)
+		if !reflect.DeepEqual(&back, plan) {
+			t.Fatal("unpacked plan differs from the planner's")
 		}
 	})
 }

@@ -390,7 +390,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP lampsd_schedule_memo_evictions_total Graph entries the schedule memo dropped to stay within its byte budget.\n")
 	fmt.Fprintf(w, "# TYPE lampsd_schedule_memo_evictions_total counter\n")
 	fmt.Fprintf(w, "lampsd_schedule_memo_evictions_total %d\n", ms.Evictions)
-	fmt.Fprintf(w, "# HELP lampsd_schedule_memo_bytes Bytes of packed schedules the schedule memo holds.\n")
+	fmt.Fprintf(w, "# HELP lampsd_backup_plan_memo_hits_total Backup plans restored from the schedule memo instead of planned.\n")
+	fmt.Fprintf(w, "# TYPE lampsd_backup_plan_memo_hits_total counter\n")
+	fmt.Fprintf(w, "lampsd_backup_plan_memo_hits_total %d\n", ms.PlanHits)
+	fmt.Fprintf(w, "# HELP lampsd_backup_plan_memo_misses_total Backup-plan memo lookups that ran the backup planner.\n")
+	fmt.Fprintf(w, "# TYPE lampsd_backup_plan_memo_misses_total counter\n")
+	fmt.Fprintf(w, "lampsd_backup_plan_memo_misses_total %d\n", ms.PlanMisses)
+	fmt.Fprintf(w, "# HELP lampsd_schedule_memo_bytes Bytes of packed schedules and backup plans the schedule memo holds.\n")
 	fmt.Fprintf(w, "# TYPE lampsd_schedule_memo_bytes gauge\n")
 	fmt.Fprintf(w, "lampsd_schedule_memo_bytes %d\n", ms.Bytes)
 

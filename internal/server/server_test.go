@@ -557,6 +557,8 @@ func TestMetricsExposition(t *testing.T) {
 		"lampsd_schedule_memo_misses_total",
 		"lampsd_schedule_memo_evictions_total 0",
 		"lampsd_schedule_memo_bytes",
+		"lampsd_backup_plan_memo_hits_total 0",
+		"lampsd_backup_plan_memo_misses_total 0",
 		`lampsd_schedule_seconds_count{approach="LAMPS"} 1`,
 		"lampsd_cache_enabled 1",
 		`lampsd_admission_admitted_total{class="standard"} 1`,
@@ -600,6 +602,39 @@ func TestScheduleMemoAcrossRequests(t *testing.T) {
 	}
 	if v := metricValue(t, warm, "lampsd_schedule_memo_bytes"); v <= 0 {
 		t.Errorf("lampsd_schedule_memo_bytes = %g, want > 0", v)
+	}
+}
+
+// TestBackupPlanMemoMetrics: plain requests never look up a backup plan;
+// the first fault-tolerant request plans and stores every candidate's plan
+// (misses only), and the same graph under another deadline and K restores
+// them (hits, no new misses) while the memo's footprint grows by the plans.
+func TestBackupPlanMemoMetrics(t *testing.T) {
+	ts := newTestServer(t, server.Options{})
+	g := diamondGraph()
+	post(t, ts, scheduleReq("lamps", g, 3))
+	if h, m := metricValue(t, ts, "lampsd_backup_plan_memo_hits_total"), metricValue(t, ts, "lampsd_backup_plan_memo_misses_total"); h != 0 || m != 0 {
+		t.Fatalf("plain request: plan memo hits %g, misses %g, want 0 and 0", h, m)
+	}
+	plainBytes := metricValue(t, ts, "lampsd_schedule_memo_bytes")
+	if status, _, _ := post(t, ts, faultsReq("lamps", g, 3, 1, "backup-anywhere")); status != http.StatusOK {
+		t.Fatalf("K=1 request: status %d", status)
+	}
+	misses := metricValue(t, ts, "lampsd_backup_plan_memo_misses_total")
+	if h := metricValue(t, ts, "lampsd_backup_plan_memo_hits_total"); h != 0 || misses <= 0 {
+		t.Fatalf("first K=1 request: plan memo hits %g, misses %g, want 0 and > 0", h, misses)
+	}
+	if b := metricValue(t, ts, "lampsd_schedule_memo_bytes"); b <= plainBytes {
+		t.Errorf("lampsd_schedule_memo_bytes %g after planning, %g before: plans are not counted", b, plainBytes)
+	}
+	if status, _, cache := post(t, ts, faultsReq("lamps+ps", g, 4, 2, "backup-anywhere")); status != http.StatusOK || cache != "miss" {
+		t.Fatalf("K=2 request: status %d, cache %q, want a 200 miss", status, cache)
+	}
+	if h := metricValue(t, ts, "lampsd_backup_plan_memo_hits_total"); h <= 0 {
+		t.Errorf("lampsd_backup_plan_memo_hits_total = %g after resubmitting a K=1 graph, want > 0", h)
+	}
+	if m := metricValue(t, ts, "lampsd_backup_plan_memo_misses_total"); m != misses {
+		t.Errorf("lampsd_backup_plan_memo_misses_total went from %g to %g on a graph whose plans are stored", misses, m)
 	}
 }
 
