@@ -26,7 +26,7 @@ race:
 # Run the pinned fuzz seed corpora as regular tests (no fuzzing engine, no
 # new inputs — a deterministic smoke check of the parsers).
 fuzz-smoke:
-	$(GO) test -run='^Fuzz' ./internal/stg ./internal/sched ./internal/power ./internal/graphhash ./internal/server
+	$(GO) test -run='^Fuzz' ./internal/stg ./internal/sched ./internal/power ./internal/graphhash ./internal/frames ./internal/server
 
 # Build-and-run smoke: every example and every command executes end to end
 # with quick arguments, so a main() that compiles but crashes on startup

@@ -448,9 +448,8 @@ func TestRunBatchFaultsMemoWarmAllocs(t *testing.T) {
 		}
 	}
 	const detachedPlan = 3
-	// The 48-task graph's deadline is loose enough that every candidate is
-	// recovery-feasible: an infeasible candidate's error allocates, and
-	// only on the K=1 side.
+	// At deadline factor 3 the 48-task graph's smallest counts are
+	// recovery-infeasible; such candidates are skipped without allocating.
 	for _, tc := range []struct {
 		name     string
 		g        *dag.Graph
@@ -459,6 +458,7 @@ func TestRunBatchFaultsMemoWarmAllocs(t *testing.T) {
 	}{
 		{"model/fig4a", small, DeadlineFactor(small, m, 3), []FaultPolicy{FaultBackupAnywhere, FaultBackupAnywhere}},
 		{"model/48 tasks", wide, DeadlineFactor(wide, m, 8), []FaultPolicy{FaultBackupAnywhere, FaultPrimaryHPBackupLP}},
+		{"model/48 tasks, tight", wide, DeadlineFactor(wide, m, 3), []FaultPolicy{FaultBackupAnywhere, FaultPrimaryHPBackupLP}},
 		{"platform/fig4a", small, DeadlineFactorPlatform(small, pf, 3), []FaultPolicy{FaultPrimaryHPBackupLP, FaultBackupAnywhere}},
 	} {
 		memo := NewScheduleMemo()

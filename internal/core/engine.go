@@ -394,6 +394,21 @@ func (r *run) checkPlan(s *sched.Schedule, plan *sched.BackupPlan, policy sched.
 	return nil
 }
 
+// errNoPoint records that no operating point fits a candidate's makespan
+// into the deadline. candErr formats energy.MinFeasiblePointCycles' message
+// for it only once it becomes the run's error, so the fault-tolerant path,
+// which skips such candidates, allocates nothing for them.
+var errNoPoint = fmt.Errorf("%w: no operating point fits the candidate", energy.ErrDeadline)
+
+// candErr returns c's error, errNoPoint spelled out for c's makespan.
+func (r *run) candErr(c *candidate) error {
+	if c.err != errNoPoint {
+		return c.err
+	}
+	_, err := energy.MinFeasiblePointCycles(c.feasCycles(), r.pf, r.cfg.Deadline)
+	return err
+}
+
 // evalAll picks each candidate's operating point and energy on the run's
 // platform grid. With sweep (the +PS heuristics) every feasible point is
 // evaluated, in parallel as flat (candidate, point) pairs when a pool is
@@ -414,11 +429,12 @@ func (r *run) evalMin(c *candidate) {
 		c.err = err
 		return
 	}
-	pt, err := energy.MinFeasiblePointCycles(c.feasCycles(), r.pf, r.cfg.Deadline)
-	if err != nil {
-		c.err = err
+	points := energy.FeasiblePointsCycles(c.feasCycles(), r.pf, r.cfg.Deadline)
+	if len(points) == 0 {
+		c.err = errNoPoint
 		return
 	}
+	pt := points[len(points)-1]
 	b, err := c.profileIn(r).EvaluatePoint(r.pf, pt, r.cfg.Deadline, energy.Options{})
 	c.levels = 1
 	if err != nil {
@@ -444,9 +460,9 @@ func (r *run) evalPairs(cands []candidate) {
 			r.a.pairs = pairs
 			return
 		}
-		points, err := energy.FeasiblePointsCycles(c.feasCycles(), r.pf, r.cfg.Deadline)
-		if err != nil {
-			c.err = err
+		points := energy.FeasiblePointsCycles(c.feasCycles(), r.pf, r.cfg.Deadline)
+		if len(points) == 0 {
+			c.err = errNoPoint
 			continue
 		}
 		c.profileIn(r) // extracted once here, shared read-only by all pairs
@@ -518,25 +534,24 @@ func reduce(r *run, approach string, g *dag.Graph, cands []candidate) (*Result, 
 	// other error — and, on a plain run, any error at all — still fails it,
 	// first in candidate order, as the serial walk did.
 	ft := r.cfg.faultsOn()
-	var firstErr error
-	var best *candidate
+	var miss, best *candidate
 	for i := range cands {
 		c := &cands[i]
 		if c.err != nil {
 			if ft && errors.Is(c.err, energy.ErrDeadline) {
-				if firstErr == nil {
-					firstErr = c.err
+				if miss == nil {
+					miss = c
 				}
 				continue
 			}
-			return nil, wrapInfeasible(c.err)
+			return nil, wrapInfeasible(r.candErr(c))
 		}
 		if best == nil || c.b.Total() < best.b.Total() {
 			best = c
 		}
 	}
 	if best == nil {
-		return nil, wrapInfeasible(firstErr)
+		return nil, wrapInfeasible(r.candErr(miss))
 	}
 	res := &Result{
 		Approach: approach,

@@ -226,6 +226,31 @@ func TestFaultsInfeasibleDeadline(t *testing.T) {
 	}
 }
 
+// TestFaultsInfeasibleMessage pins the text of a fault-tolerant run's
+// infeasibility error: every candidate misses the deadline, the first in
+// candidate order becomes the run's error, and its message names the
+// frequency its makespan would need, in cycles on one class and in
+// timeline cycles on the LP/HP platform.
+func TestFaultsInfeasibleMessage(t *testing.T) {
+	g := buildFig4a(t, coarseWeight)
+	const prefix = "core: deadline infeasible even at maximum frequency: energy: schedule misses the deadline at this level: "
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{DeadlineFactor(g, power.Default70nm(), 1), "need 6.173e+09 Hz for makespan 62000000 cycles in 0.01004s"},
+		{DeadlineFactorPlatform(g, heteroTestPlatform(t), 1), "need 6.081e+09 Hz for makespan 61077782 timeline cycles in 0.01004s"},
+	} {
+		tc.cfg.Faults = &FaultConfig{K: 1}
+		for _, approach := range []string{ApproachSS, ApproachSSPS, ApproachLAMPS, ApproachLAMPSPS} {
+			_, err := (&Engine{Config: tc.cfg}).Run(context.Background(), approach, g)
+			if err == nil || err.Error() != prefix+tc.want {
+				t.Errorf("%s: err = %v\nwant %s", approach, err, prefix+tc.want)
+			}
+		}
+	}
+}
+
 // TestFaultsConfigValidation pins the rejection set: negative K, unknown
 // policies, machines that cannot host a backup, and the extensions that
 // re-time tasks.

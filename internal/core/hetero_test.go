@@ -188,7 +188,7 @@ func TestHeterogeneousApproachesVerified(t *testing.T) {
 					if r.Schedule == nil {
 						t.Fatalf("g%d f%g %s: no schedule", gi, factor, approach)
 					}
-					if err := verify.PlatformSchedule(g, pf, r.Schedule); err != nil {
+					if err := verify.ScheduleWithin(g, r.Schedule, verify.ScheduleOptions{Platform: pf}); err != nil {
 						t.Fatalf("g%d f%g %s: illegal schedule: %v", gi, factor, approach, err)
 					}
 					if ms := r.MakespanSec(); ms > cfg.Deadline*(1+1e-9) {

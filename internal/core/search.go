@@ -145,7 +145,7 @@ func (sc *scheduler) at(n int) (*sched.Schedule, error) {
 		// Config.SelfCheck: every schedule — built by the kernel or restored
 		// from the memo — is re-checked from first principles before any
 		// search step may consume it.
-		if verr := verify.PlatformSchedule(sc.g, sc.pf, s); verr != nil {
+		if verr := verify.ScheduleWithin(sc.g, s, verify.ScheduleOptions{Platform: sc.pf}); verr != nil {
 			sc.putShell(s)
 			return nil, fmt.Errorf("core: self-check: schedule on %d processors: %w", n, verr)
 		}

@@ -244,10 +244,7 @@ func TestFeasibleLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := 4 * float64(s.Makespan) / m.FMax()
-	pts, err := FeasiblePointsCycles(s.Makespan, pf, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := FeasiblePointsCycles(s.Makespan, pf, d)
 	if len(pts) == 0 || pts[0].Index != 0 {
 		t.Fatalf("FeasiblePointsCycles = %v", pts)
 	}

@@ -15,9 +15,8 @@ func MinFeasiblePointCycles(makespan int64, pf *power.Platform, deadlineSec floa
 	if deadlineSec <= 0 {
 		return power.OperatingPoint{}, fmt.Errorf("%w: non-positive deadline", ErrDeadline)
 	}
-	need := float64(makespan) / deadlineSec
-	pt, err := pf.PointForFrequency(need)
-	if err != nil {
+	pts := FeasiblePointsCycles(makespan, pf, deadlineSec)
+	if len(pts) == 0 {
 		// One class's timeline cycles are plain cycles, and its message
 		// reads exactly as MinFeasibleLevelCycles'.
 		unit := "timeline cycles"
@@ -25,18 +24,19 @@ func MinFeasiblePointCycles(makespan int64, pf *power.Platform, deadlineSec floa
 			unit = "cycles"
 		}
 		return power.OperatingPoint{}, fmt.Errorf("%w: need %.4g Hz for makespan %d %s in %.4gs",
-			ErrDeadline, need, makespan, unit, deadlineSec)
+			ErrDeadline, float64(makespan)/deadlineSec, makespan, unit, deadlineSec)
 	}
-	return pt, nil
+	return pts[len(pts)-1], nil
 }
 
 // FeasiblePointsCycles returns every platform operating point at which a
 // timeline makespan of the given cycle count meets the deadline, fastest
-// first — the grid the +PS sweep iterates.
-func FeasiblePointsCycles(makespan int64, pf *power.Platform, deadlineSec float64) ([]power.OperatingPoint, error) {
-	min, err := MinFeasiblePointCycles(makespan, pf, deadlineSec)
-	if err != nil {
-		return nil, err
+// first — the grid the +PS sweep iterates. It is empty when no point does,
+// and allocates nothing, so a search can test many makespans and leave the
+// error message to MinFeasiblePointCycles for the one miss it reports.
+func FeasiblePointsCycles(makespan int64, pf *power.Platform, deadlineSec float64) []power.OperatingPoint {
+	if deadlineSec <= 0 {
+		return nil
 	}
-	return pf.Points()[:min.Index+1], nil
+	return pf.PointsFor(float64(makespan) / deadlineSec)
 }

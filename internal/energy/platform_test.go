@@ -132,10 +132,7 @@ func TestEvaluatePointHeterogeneous(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		pts, err := FeasiblePointsCycles(s.Makespan, pf, deadline)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
+		pts := FeasiblePointsCycles(s.Makespan, pf, deadline)
 		if len(pts) != min.Index+1 || pts[len(pts)-1].Index != min.Index {
 			t.Fatalf("iter %d: FeasiblePointsCycles = %d points, min index %d", iter, len(pts), min.Index)
 		}

@@ -19,7 +19,7 @@ func evaluatePerGapWalk(s *sched.Schedule, m *power.Model, lvl power.Level, dead
 	if makespanSec > deadlineSec*(1+1e-12) {
 		return b, ErrDeadline
 	}
-	b.ActiveTime = float64(s.BusyCycles()) / lvl.Freq
+	b.ActiveTime = float64(s.Graph.TotalWork()) / lvl.Freq
 	b.Active = b.ActiveTime * m.LevelPower(lvl)
 	horizon := int64(deadlineSec * lvl.Freq)
 	if horizon < s.Makespan {
@@ -28,8 +28,7 @@ func evaluatePerGapWalk(s *sched.Schedule, m *power.Model, lvl power.Level, dead
 	breakeven := m.BreakevenTime(lvl)
 	var idleCycles, sleepCycles int64
 	shutdowns := 0
-	for _, gap := range s.Gaps(horizon) {
-		g := gap.Length()
+	for _, g := range gapLengths(s, horizon) {
 		if opts.PS && float64(g)/lvl.Freq > breakeven {
 			sleepCycles += g
 			shutdowns++
@@ -44,6 +43,31 @@ func evaluatePerGapWalk(s *sched.Schedule, m *power.Model, lvl power.Level, dead
 	b.Shutdowns = shutdowns
 	b.Overhead = float64(shutdowns) * m.EOverhead
 	return b, nil
+}
+
+// gapLengths returns the length of every idle interval of every employed
+// processor of s up to horizon, in processor order: before its first task,
+// between consecutive tasks and after its last task. Processors that run no
+// task are off and have no gaps; zero-length intervals are omitted.
+func gapLengths(s *sched.Schedule, horizon int64) []int64 {
+	var gaps []int64
+	for p := 0; p < s.NumProcs; p++ {
+		tasks := s.TasksOn(p)
+		if len(tasks) == 0 {
+			continue
+		}
+		var cursor int64
+		for _, v := range tasks {
+			if s.Start[v] > cursor {
+				gaps = append(gaps, s.Start[v]-cursor)
+			}
+			cursor = s.Finish[v]
+		}
+		if horizon > cursor {
+			gaps = append(gaps, horizon-cursor)
+		}
+	}
+	return gaps
 }
 
 func requireIdenticalBreakdowns(t *testing.T, ctx string, got, want Breakdown) {

@@ -10,14 +10,20 @@
 // processor count and common operating point that minimise the energy of
 // one hyperperiod while every job meets its deadline — extending the
 // paper's leakage-aware scheduling to the periodic task model its
-// single-processor related work uses.
+// single-processor related work uses. It owns no scheduler and no energy
+// accounting: the frame DAG goes through the same list-scheduling kernel
+// and the same gap-profile pricing as every DAG the engine schedules, so
+// its plans answer to the same independent verifier.
 package frames
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/big"
 
 	"lamps/internal/dag"
+	"lamps/internal/energy"
 	"lamps/internal/power"
 	"lamps/internal/sched"
 )
@@ -27,6 +33,16 @@ var (
 	ErrBadTask    = errors.New("frames: invalid task")
 	ErrEmpty      = errors.New("frames: empty task set")
 	ErrInfeasible = errors.New("frames: no feasible configuration")
+	ErrTooLarge   = errors.New("frames: frame too large")
+)
+
+// Limits on the frame a task set unrolls into. Below maxHyperperiod
+// (2^53, dag.MaxCycles) every release and deadline is exact as a float64;
+// maxJobs bounds the frame DAG, and is checked from the periods before any
+// of it is built.
+const (
+	maxHyperperiod = int64(1) << 53
+	maxJobs        = 1 << 16
 )
 
 // Task is a periodic real-time task. All times are in cycles at the maximum
@@ -78,17 +94,19 @@ func (s *Set) Utilization() float64 {
 	return u
 }
 
-// Hyperperiod returns the least common multiple of all periods.
+// Hyperperiod returns the least common multiple of all periods, or
+// ErrTooLarge when it exceeds 2^53 cycles.
 func (s *Set) Hyperperiod() (int64, error) {
 	if len(s.tasks) == 0 {
 		return 0, ErrEmpty
 	}
 	l := int64(1)
 	for _, t := range s.tasks {
-		l = lcm(l, t.Period)
-		if l <= 0 || l > int64(1)<<56 {
-			return 0, fmt.Errorf("frames: hyperperiod overflow (periods too co-prime)")
+		q := l / gcd(l, t.Period)
+		if q > maxHyperperiod/t.Period {
+			return 0, fmt.Errorf("%w: hyperperiod above 2^53 cycles (periods too co-prime)", ErrTooLarge)
 		}
+		l = q * t.Period
 	}
 	return l, nil
 }
@@ -100,22 +118,27 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-func lcm(a, b int64) int64 { return a / gcd(a, b) * b }
-
 // FrameDAG unrolls one hyperperiod into a DAG plus per-job release times
 // and absolute deadlines (both in cycles at f_max). Jobs of one task are
 // chained to enforce job order; there are no cross-task edges (the periodic
-// model has independent tasks).
+// model has independent tasks). A frame of more than 65,536 jobs is
+// ErrTooLarge, refused before any of it is built.
 func (s *Set) FrameDAG() (g *dag.Graph, releases, deadlines []int64, err error) {
 	h, err := s.Hyperperiod()
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	jobs := int64(0)
+	for _, t := range s.tasks {
+		if jobs += h / t.Period; jobs > maxJobs {
+			return nil, nil, nil, fmt.Errorf("%w: more than %d jobs in a hyperperiod of %d cycles",
+				ErrTooLarge, maxJobs, h)
+		}
+	}
 	b := dag.NewBuilder("frame")
 	for _, t := range s.tasks {
-		jobs := h / t.Period
 		prev := -1
-		for k := int64(0); k < jobs; k++ {
+		for k := int64(0); k < h/t.Period; k++ {
 			v := b.AddLabeledTask(t.WCET, fmt.Sprintf("%s#%d", t.Name, k))
 			releases = append(releases, k*t.Period)
 			deadlines = append(deadlines, k*t.Period+t.Deadline)
@@ -134,15 +157,14 @@ func (s *Set) FrameDAG() (g *dag.Graph, releases, deadlines []int64, err error) 
 
 // Plan is a feasible leakage-aware configuration for one hyperperiod.
 type Plan struct {
-	NumProcs  int
-	Level     power.Level
-	Schedule  *sched.Schedule // in stretched time units (cycles at f_max)
-	EnergyJ   float64
-	Active    float64 // joules
-	Idle      float64
-	Sleep     float64
-	Overhead  float64
-	Shutdowns int
+	NumProcs int
+	Level    power.Level
+	// Schedule is in cycles executed at Level's frequency, like every
+	// engine result's schedule: a job over [Start, Finish) runs from
+	// Start/Level.Freq to Finish/Level.Freq seconds into the hyperperiod.
+	Schedule *sched.Schedule
+	EnergyJ  float64 // joules per hyperperiod, Breakdown.Total()
+	energy.Breakdown
 }
 
 // Schedule searches processor counts and discrete operating points for the
@@ -150,50 +172,66 @@ type Plan struct {
 // meets its absolute deadline within the hyperperiod. PS enables processor
 // shutdown during gaps. MaxProcs (0 = automatic) caps the processor count.
 //
-// Durations are stretched *before* scheduling — at level L a job of w
-// cycles occupies ceil(w·f_max/f_L) time units — because release times and
-// deadlines are wall-clock quantities that do not stretch with frequency,
-// unlike in the paper's single-deadline model.
+// At each operating point of frequency f the frame DAG is scheduled as it
+// is, in cycles at f. Job weights are cycles and need no conversion;
+// releases and deadlines are wall-clock instants, so they are converted
+// instead: a release r becomes ceil(r·f/f_max) cycles and a deadline d
+// floor(d·f/f_max), in exact arithmetic, so a job's window can only narrow
+// in wall-clock time. The frame repeats every hyperperiod, so no job may
+// finish past its end: a later deadline is cut to it. Each (count, point)
+// that meets every deadline is priced over the hyperperiod by the energy
+// package's gap profile, as the engine prices its candidates.
 func (s *Set) Schedule(m *power.Model, ps bool, maxProcs int) (*Plan, error) {
 	g, releases, deadlines, err := s.FrameDAG()
 	if err != nil {
 		return nil, err
 	}
-	h, err := s.Hyperperiod()
-	if err != nil {
-		return nil, err
-	}
+	h, _ := s.Hyperperiod() // FrameDAG has checked it
 	nmax := g.MaxWidth()
 	if maxProcs > 0 && maxProcs < nmax {
 		nmax = maxProcs
 	}
-	nmin := int(s.Utilization())
-	if float64(nmin) < s.Utilization() {
-		nmin++
+	nmin := max(1, int(math.Ceil(s.Utilization())))
+	pf, err := power.Homogeneous(nmax, m)
+	if err != nil {
+		return nil, err
 	}
-	if nmin < 1 {
-		nmin = 1
-	}
-	fmax := m.FMax()
-	var best *Plan
-	for _, lvl := range m.Levels() {
-		stretch := fmax / lvl.Freq
-		scaled, prio, ok := s.stretchFor(g, deadlines, stretch)
-		if !ok {
-			continue // some WCET no longer fits its deadline at this level
+	fmax := pf.RefFMax()
+	horizonSec := float64(h) / fmax
+	rel := make([]int64, len(releases))
+	dl := make([]int64, len(deadlines))
+	var (
+		conv windowScale
+		k    sched.Scheduler
+		sc   sched.Schedule
+		prof energy.GapProfile
+		best *Plan
+	)
+	for _, pt := range pf.Points() {
+		conv.reset(pt.TimelineFreq, fmax)
+		for v := range rel {
+			rel[v] = conv.at(releases[v], true)
+			dl[v] = conv.at(min(deadlines[v], h), false)
+		}
+		prio, err := sched.DeadlinePriorities(g, dl)
+		if err != nil {
+			return nil, err
 		}
 		for n := nmin; n <= nmax; n++ {
-			sc, err := sched.ListScheduleReleases(scaled, n, prio, releases)
+			if err := k.ScheduleInto(&sc, g, n, prio, rel); err != nil {
+				return nil, err
+			}
+			if !meetsAll(&sc, dl) {
+				continue
+			}
+			prof.ResetPlatform(&sc, pf)
+			b, err := prof.EvaluatePoint(pf, pt, horizonSec, energy.Options{PS: ps})
 			if err != nil {
 				return nil, err
 			}
-			if !meetsAll(sc, deadlines) {
-				continue
-			}
-			p := s.evaluate(sc, m, lvl, h, ps)
-			p.NumProcs = n
-			if best == nil || p.EnergyJ < best.EnergyJ {
-				best = p
+			if best == nil || b.Total() < best.EnergyJ {
+				best = &Plan{NumProcs: n, Level: pt.Levels[0], Schedule: sc.CloneCompact(),
+					EnergyJ: b.Total(), Breakdown: b}
 			}
 		}
 	}
@@ -204,29 +242,27 @@ func (s *Set) Schedule(m *power.Model, ps bool, maxProcs int) (*Plan, error) {
 	return best, nil
 }
 
-// stretchFor builds the graph with durations scaled for the level and EDF
-// priorities from the absolute deadlines; ok is false when a single job
-// cannot fit its own window at this level.
-func (s *Set) stretchFor(g *dag.Graph, deadlines []int64, stretch float64) (*dag.Graph, []int64, bool) {
-	b := dag.NewBuilder(g.Name())
-	for v := 0; v < g.NumTasks(); v++ {
-		w := int64(float64(g.Weight(v))*stretch + 0.999999)
-		b.AddLabeledTask(w, g.Label(v))
+// windowScale converts instants in cycles at f_max into cycles at f by the
+// exact ratio f/f_max, with reusable big-integer scratch.
+type windowScale struct{ num, den, q, r big.Int }
+
+func (w *windowScale) reset(f, fmax float64) {
+	ratio := new(big.Rat).SetFloat64(f)
+	ratio.Quo(ratio, new(big.Rat).SetFloat64(fmax))
+	w.num.Set(ratio.Num())
+	w.den.Set(ratio.Denom())
+}
+
+// at returns t·f/f_max for t >= 0, rounded up when up is set and down
+// otherwise.
+func (w *windowScale) at(t int64, up bool) int64 {
+	w.q.SetInt64(t)
+	w.q.Mul(&w.q, &w.num)
+	w.q.QuoRem(&w.q, &w.den, &w.r)
+	if up && w.r.Sign() != 0 {
+		return w.q.Int64() + 1
 	}
-	for v := 0; v < g.NumTasks(); v++ {
-		for _, succ := range g.Succs(v) {
-			b.AddEdge(v, int(succ))
-		}
-	}
-	scaled, err := b.Build()
-	if err != nil {
-		return nil, nil, false
-	}
-	prio, err := sched.DeadlinePriorities(scaled, deadlines)
-	if err != nil {
-		return nil, nil, false
-	}
-	return scaled, prio, true
+	return w.q.Int64()
 }
 
 func meetsAll(sc *sched.Schedule, deadlines []int64) bool {
@@ -236,27 +272,4 @@ func meetsAll(sc *sched.Schedule, deadlines []int64) bool {
 		}
 	}
 	return true
-}
-
-// evaluate integrates the energy of one hyperperiod: active time at the
-// level's full power, gaps idle or — with ps — asleep when long enough.
-func (s *Set) evaluate(sc *sched.Schedule, m *power.Model, lvl power.Level, h int64, ps bool) *Plan {
-	fmax := m.FMax()
-	toSec := func(units int64) float64 { return float64(units) / fmax }
-	p := &Plan{Level: lvl, Schedule: sc}
-	p.Active = toSec(sc.BusyCycles()) * m.LevelPower(lvl)
-	pIdle := m.IdlePower(lvl)
-	breakeven := m.BreakevenTime(lvl)
-	for _, gap := range sc.Gaps(h) {
-		t := toSec(gap.Length())
-		if ps && t > breakeven {
-			p.Sleep += t * m.PSleep
-			p.Overhead += m.EOverhead
-			p.Shutdowns++
-		} else {
-			p.Idle += t * pIdle
-		}
-	}
-	p.EnergyJ = p.Active + p.Idle + p.Sleep + p.Overhead
-	return p
 }

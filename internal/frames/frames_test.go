@@ -2,9 +2,7 @@ package frames
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"lamps/internal/power"
 )
@@ -139,20 +137,40 @@ func TestScheduleRespectsReleasesAndDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, rel, dl, err := s.FrameDAG()
+	if plan.Level.Index == 0 {
+		t.Fatalf("plan runs at f_max, where level cycles and f_max cycles coincide; the case does not test the conversion")
+	}
+	checkWallClock(t, s, m, plan)
+}
+
+// checkWallClock checks plan's windows in wall-clock seconds, apart from
+// the search's own window conversion: every job starts no earlier than its
+// release and finishes by its absolute deadline and by the end of the
+// frame. The schedule is in cycles at the plan's level and the windows in
+// cycles at f_max; every figure is below 2^53, so exact as a float64, and
+// correctly rounded division is monotone, so the float comparisons hold
+// exactly when the real-valued ones do.
+func checkWallClock(t *testing.T, s *Set, m *power.Model, plan *Plan) {
+	t.Helper()
+	_, rel, dl, err := s.FrameDAG()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = g
-	sc := plan.Schedule
-	stretch := m.FMax() / plan.Level.Freq
+	h, err := s.Hyperperiod()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, f, fmax := plan.Schedule, plan.Level.Freq, m.FMax()
 	for v := range rel {
-		if sc.Start[v] < rel[v] {
-			t.Errorf("job %d starts at %d before release %d", v, sc.Start[v], rel[v])
+		start, finish := float64(sc.Start[v])/f, float64(sc.Finish[v])/f
+		if start < float64(rel[v])/fmax {
+			t.Fatalf("job %d starts at %gs before its release %gs", v, start, float64(rel[v])/fmax)
 		}
-		if sc.Finish[v] > dl[v] {
-			t.Errorf("job %d finishes at %d after deadline %d (stretch %.2f)",
-				v, sc.Finish[v], dl[v], stretch)
+		if finish > float64(dl[v])/fmax {
+			t.Fatalf("job %d finishes at %gs after its deadline %gs", v, finish, float64(dl[v])/fmax)
+		}
+		if finish > float64(h)/fmax {
+			t.Fatalf("job %d finishes at %gs after the frame ends at %gs", v, finish, float64(h)/fmax)
 		}
 	}
 }
@@ -180,43 +198,6 @@ func TestScheduleInfeasible(t *testing.T) {
 	}
 }
 
-// TestPropertyPlanValidity fuzzes small harmonic task sets and checks plan
-// invariants: deadlines met, energy components non-negative, utilization at
-// the chosen level feasible for the processor count.
-func TestPropertyPlanValidity(t *testing.T) {
-	m := power.Default70nm()
-	f := func(seed int64, rawK uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := int(rawK%3) + 1
-		s := NewSet()
-		base := int64(1_000_000)
-		for i := 0; i < k; i++ {
-			period := base << uint(rng.Intn(3)) // harmonic: bounded hyperperiod
-			wcet := period / int64(rng.Intn(4)+2)
-			if err := s.Add(Task{Name: "t", WCET: wcet, Period: period}); err != nil {
-				return false
-			}
-		}
-		plan, err := s.Schedule(m, rng.Intn(2) == 0, 0)
-		if err != nil {
-			// High-utilization corners can be infeasible; that is a valid
-			// outcome, not a failure.
-			return errors.Is(err, ErrInfeasible)
-		}
-		if plan.EnergyJ <= 0 || plan.Active < 0 || plan.Idle < 0 || plan.Sleep < 0 {
-			return false
-		}
-		_, _, dl, err := s.FrameDAG()
-		if err != nil {
-			return false
-		}
-		return meetsAll(plan.Schedule, dl)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHyperperiodOverflow(t *testing.T) {
 	s := NewSet()
 	// Large co-prime periods blow the hyperperiod past the guard.
@@ -224,7 +205,33 @@ func TestHyperperiodOverflow(t *testing.T) {
 	for _, p := range primes {
 		mustAdd(t, s, Task{Name: "p", WCET: 1, Period: p})
 	}
-	if _, err := s.Hyperperiod(); err == nil {
-		t.Error("hyperperiod overflow not detected")
+	if _, err := s.Hyperperiod(); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("hyperperiod overflow: err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestFrameJobLimit: periods 10007, 10009 and 10037 have a hyperperiod of
+// 1,005,306,552,331 cycles, below 2^53, yet it holds 301,060,655 jobs.
+// Both frame entry points must refuse the set from its periods alone,
+// without building any of the frame DAG.
+func TestFrameJobLimit(t *testing.T) {
+	s := NewSet()
+	for _, p := range []int64{10007, 10009, 10037} {
+		mustAdd(t, s, Task{Name: "p", WCET: 1, Period: p})
+	}
+	if h, err := s.Hyperperiod(); err != nil || h != 1_005_306_552_331 {
+		t.Fatalf("Hyperperiod = %d, %v; want 1005306552331", h, err)
+	}
+	m := power.Default70nm()
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, _, _, err := s.FrameDAG(); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("FrameDAG: err = %v, want ErrTooLarge", err)
+		}
+		if _, err := s.Schedule(m, true, 0); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("Schedule: err = %v, want ErrTooLarge", err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("refusing the set took %.0f allocations; the frame DAG was started", allocs)
 	}
 }

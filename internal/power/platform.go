@@ -228,19 +228,27 @@ func (pf *Platform) MaxPoint() OperatingPoint { return pf.grid[0] }
 // frequency is at least f — the platform analogue of
 // Model.LevelForFrequency, with the same infeasibility tolerance.
 func (pf *Platform) PointForFrequency(f float64) (OperatingPoint, error) {
-	if f > pf.grid[0].TimelineFreq*(1+1e-12) {
+	pts := pf.PointsFor(f)
+	if len(pts) == 0 {
 		return OperatingPoint{}, fmt.Errorf("%w: need %g Hz, max timeline %g Hz",
 			ErrInfeasible, f, pf.grid[0].TimelineFreq)
 	}
-	best := pf.grid[0]
-	for _, pt := range pf.grid[1:] {
-		if pt.TimelineFreq >= f {
-			best = pt
-		} else {
-			break
-		}
+	return pts[len(pts)-1], nil
+}
+
+// PointsFor returns every operating point that sustains timeline frequency
+// f, fastest first, ending at PointForFrequency(f); it is empty when f is
+// beyond the fastest point, and allocates nothing either way. The slice is
+// owned by the platform and must not be modified.
+func (pf *Platform) PointsFor(f float64) []OperatingPoint {
+	if f > pf.grid[0].TimelineFreq*(1+1e-12) {
+		return nil
 	}
-	return best, nil
+	i := 1
+	for i < len(pf.grid) && pf.grid[i].TimelineFreq >= f {
+		i++
+	}
+	return pf.grid[:i]
 }
 
 func (pf *Platform) String() string {

@@ -65,7 +65,7 @@ const MaxJSONProcs = 1 << 16
 // per-processor lists. It does not judge the placement: slot lengths
 // depend on the machine (a class-stretched slot on a platform is longer
 // than the task's weight), which only the caller knows, so legality is for
-// verify.Schedule or verify.PlatformSchedule.
+// verify.ScheduleWithin, given the platform.
 func ReadJSON(r io.Reader) (*Schedule, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

@@ -148,7 +148,7 @@ func TestScheduleIntoPlatformHeterogeneousLegal(t *testing.T) {
 		if err := k.ScheduleIntoPlatform(&s, g, pf, nprocs, prio, nil); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		if err := verify.PlatformSchedule(g, pf, &s); err != nil {
+		if err := verify.ScheduleWithin(g, &s, verify.ScheduleOptions{Platform: pf}); err != nil {
 			t.Fatalf("iter %d: verifier rejects kernel schedule: %v", iter, err)
 		}
 	}

@@ -366,60 +366,6 @@ func BenchmarkScheduleIntoReused(b *testing.B) {
 	}
 }
 
-// TestGapsTileHorizon is the gap-accounting property test: for every
-// employed processor, its busy intervals and its gaps must exactly tile
-// [0, horizon) — contiguous, non-overlapping, nothing missing — for
-// horizons at and beyond the makespan. Unemployed processors must
-// contribute no gaps at all.
-func TestGapsTileHorizon(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 40; iter++ {
-		g, err := taskgen.Member(2+rng.Intn(50), rng.Intn(4), rng.Int63())
-		if err != nil {
-			t.Fatal(err)
-		}
-		nprocs := 1 + rng.Intn(6)
-		s, err := sched.ListEDF(g, nprocs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, horizon := range []int64{s.Makespan, s.Makespan + 1 + rng.Int63n(1_000_000)} {
-			type interval struct {
-				begin, end int64
-			}
-			perProc := make(map[int][]interval)
-			for p := 0; p < nprocs; p++ {
-				for _, v := range s.TasksOn(p) {
-					perProc[p] = append(perProc[p], interval{s.Start[v], s.Finish[v]})
-				}
-			}
-			for _, gap := range s.Gaps(horizon) {
-				if gap.Length() <= 0 {
-					t.Fatalf("iter %d: zero or negative gap %+v", iter, gap)
-				}
-				if len(perProc[gap.Proc]) == 0 {
-					t.Fatalf("iter %d: gap on unemployed processor %d", iter, gap.Proc)
-				}
-				perProc[gap.Proc] = append(perProc[gap.Proc], interval{gap.Begin, gap.End})
-			}
-			for p, ivs := range perProc {
-				sort.Slice(ivs, func(i, j int) bool { return ivs[i].begin < ivs[j].begin })
-				cursor := int64(0)
-				for _, iv := range ivs {
-					if iv.begin != cursor {
-						t.Fatalf("iter %d proc %d: tiling broken at %d (next interval starts %d, horizon %d)",
-							iter, p, cursor, iv.begin, horizon)
-					}
-					cursor = iv.end
-				}
-				if cursor != horizon {
-					t.Fatalf("iter %d proc %d: tiling ends at %d, horizon %d", iter, p, cursor, horizon)
-				}
-			}
-		}
-	}
-}
-
 // TestFinishOrderContract pins Schedule.FinishOrder. On kernel schedules
 // with equal finish times and with releases, homogeneous and on a
 // two-class platform, it is a permutation sorted by (Finish, task).
@@ -487,12 +433,7 @@ func TestFinishOrderContract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ReadJSON: %v", tc.name, err)
 		}
-		if tc.pf == nil {
-			err = verify.ScheduleWithin(r.Graph, r, verify.ScheduleOptions{Release: tc.release})
-		} else {
-			err = verify.PlatformScheduleWithin(r.Graph, tc.pf, r, verify.ScheduleOptions{Release: tc.release})
-		}
-		if err != nil {
+		if err := verify.ScheduleWithin(r.Graph, r, verify.ScheduleOptions{Release: tc.release, Platform: tc.pf}); err != nil {
 			t.Fatalf("%s: restored schedule: %v", tc.name, err)
 		}
 		copies := []*sched.Schedule{&s, s.CloneCompact(), r}

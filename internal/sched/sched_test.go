@@ -95,34 +95,12 @@ func TestSingleProcessorNoIdle(t *testing.T) {
 	if s.Makespan != g.TotalWork() {
 		t.Errorf("1-proc makespan = %d, want total work %d", s.Makespan, g.TotalWork())
 	}
-	if gaps := s.Gaps(s.Makespan); len(gaps) != 0 {
-		t.Errorf("1-proc schedule has interior gaps: %v", gaps)
-	}
-}
-
-func TestGapsWithHorizon(t *testing.T) {
-	g := buildFig4a(t)
-	s, err := sched.ListEDF(g, 3)
-	if err != nil {
-		t.Fatalf("sched.ListEDF: %v", err)
-	}
-	gaps := s.Gaps(15) // deadline 1.5x CPL as in Fig. 4
-	var total int64
-	for _, gap := range gaps {
-		if gap.Length() <= 0 {
-			t.Errorf("zero/negative gap %+v", gap)
+	var cursor int64
+	for _, v := range s.TasksOn(0) {
+		if s.Start[v] != cursor {
+			t.Errorf("1-proc schedule idles over [%d, %d) before task %d", cursor, s.Start[v], v)
 		}
-		total += gap.Length()
-	}
-	// Busy + idle must equal 3 processors x 15 cycles.
-	if got, want := total+g.TotalWork(), int64(3*15); got != want {
-		t.Errorf("idle+busy = %d, want %d", got, want)
-	}
-	if got := s.IdleCycles(15); got != total {
-		t.Errorf("IdleCycles = %d, want %d", got, total)
-	}
-	if got := s.BusyCycles(); got != g.TotalWork() {
-		t.Errorf("BusyCycles = %d, want %d", got, g.TotalWork())
+		cursor = s.Finish[v]
 	}
 }
 
@@ -140,8 +118,10 @@ func TestUnusedProcessorsContributeNoGaps(t *testing.T) {
 	if s.ProcsUsed() != 1 {
 		t.Fatalf("ProcsUsed = %d, want 1", s.ProcsUsed())
 	}
-	if gaps := s.Gaps(100); len(gaps) != 1 || gaps[0].Proc != 0 || gaps[0].Begin != 5 || gaps[0].End != 100 {
-		t.Errorf("Gaps = %+v, want single trailing gap on proc 0", gaps)
+	for p := 1; p < s.NumProcs; p++ {
+		if tasks := s.TasksOn(p); len(tasks) != 0 {
+			t.Errorf("unused processor %d lists tasks %v", p, tasks)
+		}
 	}
 }
 
@@ -325,18 +305,6 @@ func TestPropertyScheduleValidity(t *testing.T) {
 			t.Logf("makespan %d outside [%d, %d]", s.Makespan, lb, g.TotalWork())
 			return false
 		}
-		// Busy + idle accounting at an arbitrary horizon.
-		horizon := s.Makespan + int64(rng.Intn(1000))
-		var used int64
-		for pp := 0; pp < nprocs; pp++ {
-			if len(s.TasksOn(pp)) > 0 {
-				used++
-			}
-		}
-		if s.IdleCycles(horizon)+g.TotalWork() != used*horizon {
-			t.Logf("gap accounting mismatch")
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -358,26 +326,25 @@ func TestPropertyWorkConserving(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, gap := range s.Gaps(s.Makespan) {
-			// Find the task starting at gap.End on gap.Proc.
-			var starter = -1
-			for _, v := range s.TasksOn(gap.Proc) {
-				if s.Start[v] == gap.End {
-					starter = int(v)
+		for p := 0; p < nprocs; p++ {
+			var cursor int64
+			for _, starter := range s.TasksOn(p) {
+				start := s.Start[starter]
+				idle := start > cursor
+				cursor = s.Finish[starter]
+				if !idle {
+					continue
 				}
-			}
-			if starter < 0 {
-				continue // trailing gap
-			}
-			ok := false
-			for _, pred := range g.Preds(starter) {
-				if s.Finish[pred] == gap.End {
-					ok = true
+				ok := false
+				for _, pred := range g.Preds(int(starter)) {
+					if s.Finish[pred] == start {
+						ok = true
+					}
 				}
-			}
-			if !ok {
-				t.Logf("task %d started at %d after an idle gap with no just-finished predecessor", starter, gap.End)
-				return false
+				if !ok {
+					t.Logf("task %d started at %d after an idle gap with no just-finished predecessor", starter, start)
+					return false
+				}
 			}
 		}
 		return true

@@ -111,58 +111,6 @@ func (s *Schedule) CloneCompact() *Schedule {
 	return c
 }
 
-// Gap is a contiguous idle interval on one processor, in cycles. For
-// employed processors the intervals before the first task, between
-// consecutive tasks, and after the last task up to the schedule horizon are
-// all gaps.
-type Gap struct {
-	Proc       int
-	Begin, End int64 // [Begin, End) in cycles
-}
-
-// Length returns the gap duration in cycles.
-func (g Gap) Length() int64 { return g.End - g.Begin }
-
-// Gaps returns every idle interval of every *employed* processor, assuming
-// the machine must stay available until horizon (typically the deadline
-// expressed in cycles at the schedule's frequency). Processors that execute
-// no task at all are considered off and contribute no gaps. Zero-length
-// intervals are omitted.
-func (s *Schedule) Gaps(horizon int64) []Gap {
-	var gaps []Gap
-	for p := 0; p < s.NumProcs; p++ {
-		tasks := s.TasksOn(p)
-		if len(tasks) == 0 {
-			continue
-		}
-		cursor := int64(0)
-		for _, v := range tasks {
-			if s.Start[v] > cursor {
-				gaps = append(gaps, Gap{p, cursor, s.Start[v]})
-			}
-			cursor = s.Finish[v]
-		}
-		if horizon > cursor {
-			gaps = append(gaps, Gap{p, cursor, horizon})
-		}
-	}
-	return gaps
-}
-
-// BusyCycles returns the total number of executed cycles, which equals the
-// graph's total work.
-func (s *Schedule) BusyCycles() int64 { return s.Graph.TotalWork() }
-
-// IdleCycles returns the total idle cycles across employed processors up to
-// the given horizon.
-func (s *Schedule) IdleCycles(horizon int64) int64 {
-	var idle int64
-	for _, g := range s.Gaps(horizon) {
-		idle += g.Length()
-	}
-	return idle
-}
-
 // String renders a compact textual Gantt-like description, useful in
 // examples and debugging.
 func (s *Schedule) String() string {

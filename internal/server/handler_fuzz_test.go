@@ -251,9 +251,9 @@ func splitValues(t *testing.T, body []byte, n int) []json.RawMessage {
 
 // verifyBatchResult re-checks a 200 line's result against its input line:
 // the makespan meets the deadline, and the placement is a legal schedule of
-// the input graph on the line's machine — verify.PlatformSchedule on the
+// the input graph on the line's machine — verify.ScheduleWithin on the
 // platform loaded from the line's platform block, which fixes every
-// class-stretched slot length, else verify.Schedule.
+// class-stretched slot length, if the line has one.
 func verifyBatchResult(input, result json.RawMessage) error {
 	var in struct {
 		Graph *struct {
@@ -343,8 +343,5 @@ func verifyBatchResult(input, result json.RawMessage) error {
 	if err != nil {
 		return err
 	}
-	if pf != nil {
-		return verify.PlatformSchedule(s.Graph, pf, s)
-	}
-	return verify.Schedule(s.Graph, s)
+	return verify.ScheduleWithin(s.Graph, s, verify.ScheduleOptions{Platform: pf})
 }

@@ -14,12 +14,11 @@ import (
 // point pt until deadlineSec, from first principles. Every gap of every
 // employed processor is found by sorting the raw Proc/Start/Finish arrays
 // (and the plan's) and walked linearly, classified one by one against its
-// class's break-even time. It shares no code with GapProfile — in
-// particular it does not call Schedule.Gaps or Schedule.BusyCycles — yet
-// it must agree with GapProfile.EvaluatePoint bit for bit: both sides keep
-// every cycle total as an exact int64 sum per class and convert to floats
-// once per class in ascending class order, with the same expressions in
-// the same order, so any difference at all means one of the two
+// class's break-even time. It shares no code with GapProfile, yet it must
+// agree with GapProfile.EvaluatePoint bit for bit: both sides keep every
+// cycle total as an exact int64 sum per class and convert to floats once
+// per class in ascending class order, with the same expressions in the
+// same order, so any difference at all means one of the two
 // implementations is wrong. A homogeneous machine is the one-class
 // platform; there pt.TimelineFreq is the ladder level's frequency and the
 // walk reduces to the paper's single-model accounting.

@@ -34,7 +34,8 @@ type SelfTestResult struct {
 // The pristine inputs are verified first; an error there means the inputs
 // were not a valid baseline and no mutation results are returned.
 func SelfTest(g *dag.Graph, s *sched.Schedule, pf *power.Platform, pt power.OperatingPoint, deadlineSec float64, opts energy.Options) ([]SelfTestResult, error) {
-	if err := PlatformSchedule(g, pf, s); err != nil {
+	on := ScheduleOptions{Platform: pf}
+	if err := ScheduleWithin(g, s, on); err != nil {
 		return nil, fmt.Errorf("verify: self-test baseline schedule invalid: %w", err)
 	}
 	base, err := Energy(s, pf, nil, pt, deadlineSec, opts)
@@ -53,7 +54,7 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, pf *power.Platform, pt power.Oper
 			c := cloneSchedule(s)
 			c.Start[a], c.Start[b] = s.Start[b], s.Start[a]
 			c.Finish[a], c.Finish[b] = s.Finish[b], s.Finish[a]
-			return false, PlatformSchedule(g, pf, c)
+			return false, ScheduleWithin(g, c, on)
 		}},
 		{"overlap", func() (bool, error) {
 			// Nudge a task one cycle earlier without changing its duration:
@@ -66,7 +67,7 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, pf *power.Platform, pt power.Oper
 					if s.Start[tasks[i]] == s.Finish[tasks[i-1]] {
 						c.Start[tasks[i]]--
 						c.Finish[tasks[i]]--
-						return false, PlatformSchedule(g, pf, c)
+						return false, ScheduleWithin(g, c, on)
 					}
 				}
 			}
@@ -74,7 +75,7 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, pf *power.Platform, pt power.Oper
 				if s.Start[v] == 0 {
 					c.Start[v]--
 					c.Finish[v]--
-					return false, PlatformSchedule(g, pf, c)
+					return false, ScheduleWithin(g, c, on)
 				}
 			}
 			return true, nil
@@ -92,7 +93,7 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, pf *power.Platform, pt power.Oper
 			if err != nil {
 				return false, fmt.Errorf("verify: self-test cannot augment graph: %w", err)
 			}
-			return false, PlatformSchedule(augmented, pf, s)
+			return false, ScheduleWithin(augmented, s, on)
 		}},
 		{"wrong-proc", func() (bool, error) {
 			if s.NumProcs < 2 {
@@ -100,25 +101,25 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, pf *power.Platform, pt power.Oper
 			}
 			c := cloneSchedule(s)
 			c.Proc[0] = (c.Proc[0] + 1) % int32(s.NumProcs)
-			return false, PlatformSchedule(g, pf, c)
+			return false, ScheduleWithin(g, c, on)
 		}},
 		{"duration", func() (bool, error) {
 			c := cloneSchedule(s)
 			c.Finish[0]--
-			return false, PlatformSchedule(g, pf, c)
+			return false, ScheduleWithin(g, c, on)
 		}},
 		{"makespan-off-by-one", func() (bool, error) {
 			c := cloneSchedule(s)
 			c.Makespan++
-			return false, PlatformSchedule(g, pf, c)
+			return false, ScheduleWithin(g, c, on)
 		}},
 		{"release", func() (bool, error) {
 			rel := make([]int64, len(s.Start))
 			rel[0] = s.Start[0] + 1
-			return false, PlatformScheduleWithin(g, pf, s, ScheduleOptions{Release: rel})
+			return false, ScheduleWithin(g, s, ScheduleOptions{Release: rel, Platform: pf})
 		}},
 		{"deadline", func() (bool, error) {
-			return false, PlatformScheduleWithin(g, pf, s, ScheduleOptions{DeadlineCycles: s.Makespan - 1})
+			return false, ScheduleWithin(g, s, ScheduleOptions{DeadlineCycles: s.Makespan - 1, Platform: pf})
 		}},
 		{"gap-off-by-one", func() (bool, error) {
 			return false, EnergyMatches(s, pf, nil, pt, deadlineSec, opts, phantomIdleCycle(base, pf, pt))
@@ -142,7 +143,7 @@ func SelfTest(g *dag.Graph, s *sched.Schedule, pf *power.Platform, pt power.Oper
 			}
 			c := cloneSchedule(s)
 			c.Proc[v] = int32(p)
-			return false, PlatformSchedule(g, pf, c)
+			return false, ScheduleWithin(g, c, on)
 		}})
 	}
 	return runMutations(muts), nil

@@ -47,7 +47,7 @@ func TestPlatformScheduleAcceptsKernelSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := PlatformSchedule(g, pf, s); err != nil {
+		if err := ScheduleWithin(g, s, ScheduleOptions{Platform: pf}); err != nil {
 			t.Fatalf("iter %d: kernel schedule rejected: %v", iter, err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestPlatformScheduleAcceptsKernelSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PlatformSchedule(g, hom, s); err != nil {
+	if err := ScheduleWithin(g, s, ScheduleOptions{Platform: hom}); err != nil {
 		t.Fatalf("homogeneous platform rejects a legacy schedule: %v", err)
 	}
 }
@@ -85,7 +85,7 @@ func TestPlatformScheduleRejectsScaledDurationMismatch(t *testing.T) {
 		}
 		bad := cloneSchedule(s)
 		bad.Finish[v] = bad.Start[v] + w
-		if err := PlatformSchedule(g, pf, bad); err == nil {
+		if err := ScheduleWithin(g, bad, ScheduleOptions{Platform: pf}); err == nil {
 			t.Fatalf("raw-weight slot on a scaled class accepted for task %d", v)
 		}
 		return
@@ -124,7 +124,7 @@ func TestPlatformScheduleRejectsOverflowedSlot(t *testing.T) {
 	if s.Start[0] != 0 || s.Finish[0] != math.MinInt64 {
 		t.Fatalf("kernel slot [%d, %d), want the overflowed [0, -2^63)", s.Start[0], s.Finish[0])
 	}
-	err = PlatformSchedule(g, pf, s)
+	err = ScheduleWithin(g, s, ScheduleOptions{Platform: pf})
 	var v *Violation
 	if !errors.As(err, &v) || v.Check != CheckPlacement {
 		t.Fatalf("overflowed slot: err = %v, want a placement violation", err)
@@ -135,7 +135,7 @@ func TestPlatformScheduleRejectsOverflowedSlot(t *testing.T) {
 	c := cloneSchedule(s)
 	c.NumProcs = 1
 	c.Proc[0] = 0
-	if err := PlatformSchedule(g, one, c); !errors.Is(err, ErrViolation) {
+	if err := ScheduleWithin(g, c, ScheduleOptions{Platform: one}); !errors.Is(err, ErrViolation) {
 		t.Fatalf("reversed slot on one class: err = %v, want a violation", err)
 	}
 }

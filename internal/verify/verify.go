@@ -4,11 +4,11 @@
 // definitions in de Langen & Juurlink — precedence from the task graph's
 // edges, exclusivity from a per-processor sort of the raw Proc/Start/Finish
 // arrays, energy from a linear walk over every gap — and none of it shares
-// code with the optimised kernels in internal/sched and internal/energy
-// (no Schedule.Gaps, no GapProfile). It is the only judge of schedule
-// legality; sched.ReadJSON restores schedules without judging them. If a
-// kernel optimisation and this package agree, the agreement is evidence; if
-// they disagree, one of them is wrong and the Violation says where.
+// code with the optimised kernels in internal/sched and internal/energy (no
+// GapProfile). It is the only judge of schedule legality; sched.ReadJSON
+// restores schedules without judging them. If a kernel optimisation and
+// this package agree, the agreement is evidence; if they disagree, one of
+// them is wrong and the Violation says where.
 //
 // There is one energy oracle, as there is one pricing rule in the paper:
 // Energy walks a schedule on a power.Platform — a homogeneous machine is
@@ -47,7 +47,7 @@ const (
 	CheckDispatch   = "dispatch-order" // per-processor task lists disagree with Proc/Start/Finish
 	CheckRelease    = "release"        // a task starts before its release time
 	CheckMakespan   = "makespan"       // recorded makespan != max finish time
-	CheckDeadline   = "deadline"       // makespan exceeds the deadline
+	CheckDeadline   = "deadline"       // the makespan or a task finishes past its deadline
 	CheckEnergy     = "energy"         // recomputed Breakdown differs from the reported one
 	CheckResult     = "result"         // a cross-heuristic invariant is broken
 )
@@ -119,16 +119,21 @@ type ScheduleOptions struct {
 	// Release, when non-nil, gives per-task release times in cycles; no task
 	// may start earlier. Must have one entry per task.
 	Release []int64
+	// Deadlines, when non-nil, gives per-task latest finish times in cycles
+	// (sched.NoDeadline for a task without one); no task may finish later.
+	// Must have one entry per task.
+	Deadlines []int64
 	// DeadlineCycles, when positive, is the latest admissible finish time of
 	// the whole schedule, in cycles at the schedule's frequency.
 	DeadlineCycles int64
-
-	// expectDur, when non-nil, overrides the expected duration of task v on
-	// its assigned processor (the raw weight by default); ok is false when
-	// that duration does not fit in int64. The platform checks use it for
-	// class-scaled slot lengths; it is unexported because callers outside
-	// the package go through PlatformScheduleWithin.
-	expectDur func(v, proc int) (d int64, ok bool)
+	// Platform, when non-nil, is the machine the schedule runs on: it may
+	// use no more processors than the platform has, and a task's slot on
+	// processor p must last the class-stretched duration
+	// ceil(weight·Scale(class(p))) timeline cycles (exactly the weight on an
+	// unstretched class) instead of the raw weight. The verifier derives
+	// that length itself, and a stretch past int64 is a violation, never a
+	// length.
+	Platform *power.Platform
 }
 
 // Schedule checks s against g from first principles: placements, durations,
@@ -138,7 +143,8 @@ func Schedule(g *dag.Graph, s *sched.Schedule) error {
 	return ScheduleWithin(g, s, ScheduleOptions{})
 }
 
-// ScheduleWithin is Schedule plus release-time and deadline checks.
+// ScheduleWithin is Schedule plus the constraints opt carries: releases,
+// per-task and whole-schedule deadlines, and the platform's slot lengths.
 //
 // Every invariant is re-derived from the raw Proc/Start/Finish arrays and
 // the graph's edges; the schedule's own per-processor lists are only read
@@ -156,13 +162,22 @@ func ScheduleWithin(g *dag.Graph, s *sched.Schedule, opt ScheduleOptions) error 
 	if s.NumProcs < 1 {
 		return violationf(CheckShape, g, s, nil, "NumProcs = %d", s.NumProcs)
 	}
+	if pf := opt.Platform; pf != nil && s.NumProcs > pf.NumProcs() {
+		return violationf(CheckShape, g, s, nil,
+			"schedule uses %d processors of a %d-processor platform", s.NumProcs, pf.NumProcs())
+	}
 	if opt.Release != nil && len(opt.Release) != n {
 		return violationf(CheckShape, g, s, nil,
 			"release slice has %d entries for %d tasks", len(opt.Release), n)
 	}
+	if opt.Deadlines != nil && len(opt.Deadlines) != n {
+		return violationf(CheckShape, g, s, nil,
+			"deadline slice has %d entries for %d tasks", len(opt.Deadlines), n)
+	}
 
 	// Per-task placement: processor range, non-negative start, duration
-	// exactly the task's weight, release respected.
+	// exactly the task's weight (its class-stretched slot on a platform),
+	// release and deadline respected.
 	for v := 0; v < n; v++ {
 		if p := int(s.Proc[v]); p < 0 || p >= s.NumProcs {
 			return violationf(CheckPlacement, g, s, []int32{int32(v)},
@@ -177,9 +192,9 @@ func ScheduleWithin(g *dag.Graph, s *sched.Schedule, opt ScheduleOptions) error 
 				"task %d occupies the empty or reversed slot [%d, %d)", v, s.Start[v], s.Finish[v])
 		}
 		w := g.Weight(v)
-		if opt.expectDur != nil {
+		if opt.Platform != nil {
 			var ok bool
-			if w, ok = opt.expectDur(v, int(s.Proc[v])); !ok {
+			if w, ok = slotCycles(opt.Platform, opt.Platform.ClassOf(int(s.Proc[v])), w); !ok {
 				return violationf(CheckPlacement, g, s, []int32{int32(v)},
 					"task %d's stretched slot on processor %d exceeds int64 cycles", v, s.Proc[v])
 			}
@@ -191,6 +206,10 @@ func ScheduleWithin(g *dag.Graph, s *sched.Schedule, opt ScheduleOptions) error 
 		if opt.Release != nil && s.Start[v] < opt.Release[v] {
 			return violationf(CheckRelease, g, s, []int32{int32(v)},
 				"task %d starts at %d before its release %d", v, s.Start[v], opt.Release[v])
+		}
+		if opt.Deadlines != nil && s.Finish[v] > opt.Deadlines[v] {
+			return violationf(CheckDeadline, g, s, []int32{int32(v)},
+				"task %d finishes at %d after its deadline %d", v, s.Finish[v], opt.Deadlines[v])
 		}
 	}
 
@@ -258,32 +277,6 @@ func ScheduleWithin(g *dag.Graph, s *sched.Schedule, opt ScheduleOptions) error 
 			"makespan %d exceeds deadline %d cycles", s.Makespan, opt.DeadlineCycles)
 	}
 	return nil
-}
-
-// PlatformSchedule checks a heterogeneous-platform schedule against g from
-// first principles. The invariants are those of Schedule with one change:
-// a task's slot on processor p must last the class-stretched duration
-// ceil(weight·Scale(class(p))) timeline cycles (exactly the weight on an
-// unstretched class) instead of the raw weight. The verifier derives that
-// length itself, and a stretch past int64 is a violation, never a length.
-func PlatformSchedule(g *dag.Graph, pf *power.Platform, s *sched.Schedule) error {
-	return PlatformScheduleWithin(g, pf, s, ScheduleOptions{})
-}
-
-// PlatformScheduleWithin is PlatformSchedule plus release-time and deadline
-// checks (deadline in timeline cycles).
-func PlatformScheduleWithin(g *dag.Graph, pf *power.Platform, s *sched.Schedule, opt ScheduleOptions) error {
-	if pf == nil {
-		return &Violation{Check: CheckShape, Detail: "nil platform"}
-	}
-	if s != nil && s.NumProcs > pf.NumProcs() {
-		return violationf(CheckShape, g, s, nil,
-			"schedule uses %d processors of a %d-processor platform", s.NumProcs, pf.NumProcs())
-	}
-	opt.expectDur = func(v, proc int) (int64, bool) {
-		return slotCycles(pf, pf.ClassOf(proc), g.Weight(v))
-	}
-	return ScheduleWithin(g, s, opt)
 }
 
 // slotCycles is the timeline slot length of a w-cycle task on class c of

@@ -129,6 +129,31 @@ func TestScheduleRejectsShapeErrors(t *testing.T) {
 	}
 }
 
+// TestScheduleWithinTaskDeadlines: per-task deadlines accept a task
+// finishing exactly at its deadline and tasks marked sched.NoDeadline,
+// reject a finish one cycle late as a deadline violation, and reject a
+// slice of the wrong length as a shape violation.
+func TestScheduleWithinTaskDeadlines(t *testing.T) {
+	g := member(t, 12, 2, 7)
+	s := schedule(t, g, 2)
+	dl := make([]int64, g.NumTasks())
+	for v := range dl {
+		dl[v] = sched.NoDeadline
+	}
+	dl[0] = s.Finish[0]
+	if err := ScheduleWithin(g, s, ScheduleOptions{Deadlines: dl}); err != nil {
+		t.Fatalf("deadline == finish rejected: %v", err)
+	}
+	dl[0]--
+	var v *Violation
+	if err := ScheduleWithin(g, s, ScheduleOptions{Deadlines: dl}); !errors.As(err, &v) || v.Check != CheckDeadline {
+		t.Fatalf("finish one cycle past its deadline: err = %v, want a %q violation", err, CheckDeadline)
+	}
+	if err := ScheduleWithin(g, s, ScheduleOptions{Deadlines: dl[1:]}); !errors.As(err, &v) || v.Check != CheckShape {
+		t.Fatalf("short deadline slice: err = %v, want a %q violation", err, CheckShape)
+	}
+}
+
 // TestEnergyRejectsMissedDeadline: a deadline below the makespan must be
 // rejected by the walk exactly as by the kernel, matching energy.ErrDeadline;
 // with a backup plan, so must a deadline that covers the primary makespan

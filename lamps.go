@@ -122,12 +122,9 @@ func DeadlineFactorPlatform(g *Graph, pf *Platform, factor float64) Config {
 }
 
 // Scheduling substrate (see internal/sched).
-type (
-	// Schedule is a static task placement on identical processors.
-	Schedule = sched.Schedule
-	// Gap is an idle interval of one processor.
-	Gap = sched.Gap
-)
+
+// Schedule is a static task placement on identical processors.
+type Schedule = sched.Schedule
 
 // NoDeadline marks tasks without an explicit deadline in per-task deadline
 // slices.
