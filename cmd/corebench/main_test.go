@@ -102,3 +102,10 @@ func TestBatchCaseRejectsErrors(t *testing.T) {
 		t.Fatal("batchCase timed a batch whose every request fails")
 	}
 }
+
+// TestMedian: the RunBatch case reports the middle value of its samples.
+func TestMedian(t *testing.T) {
+	if got := median([]float64{1.08, 2.02, 0.99, 1.95, 2.10, 1.87, 2.01}); got != 1.95 {
+		t.Errorf("median = %v, want 1.95", got)
+	}
+}

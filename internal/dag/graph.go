@@ -32,6 +32,12 @@ var (
 
 // Graph is an immutable weighted task DAG. Create one with a Builder.
 //
+// A built Graph is never modified: every analysis is computed in
+// Builder.Build, and methods that derive a graph (Rename, ScaleWeights)
+// return a copy. It is therefore safe for any number of concurrent
+// readers, and one Graph may be shared by every run and request that
+// schedules it (lampsd interns request graphs this way).
+//
 // Tasks are identified by dense integer indices 0..NumTasks()-1. Weights are
 // processing times in cycles at the maximum frequency; wall-clock duration at
 // a scaled frequency f is weight/f seconds.

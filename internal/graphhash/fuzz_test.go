@@ -57,8 +57,12 @@ func FuzzSumMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, approach string) {
 		g := decodeGraph(t, data, "fuzz", "")
 		p := Problem{Graph: g, Deadline: 1.5, MaxProcs: 4, Approach: approach}
-		if got, want := Sum(p), refDigest(refProblem(p)); got != want {
+		want := refDigest(refProblem(p))
+		if got := Sum(p); got != want {
 			t.Fatalf("Sum = %s, reference %s", got, want)
+		}
+		if got := NewGraphState(g).Sum(p); got != want {
+			t.Fatalf("GraphState.Sum = %s, reference %s", got, want)
 		}
 		for _, pf := range []*power.Platform{one, lphp} {
 			if got, want := ScheduleKey(g, pf), sha256.Sum256(refScheduleKey(g, pf)); got != want {

@@ -118,9 +118,20 @@ func ScheduleKey(g *dag.Graph, pf *power.Platform) [sha256.Size]byte {
 // tagged block under the same rules: K=0 streams are byte-identical to
 // pre-fault ones.
 func writePrefix(e *encoder, p *Problem) {
-	e.string(Version)
-	writeGraph(e, p.Graph)
+	writeHead(e, p.Graph)
+	writeMachine(e, p)
+}
 
+// writeHead encodes the start of every problem stream: the version string
+// and the graph.
+func writeHead(e *encoder, g *dag.Graph) {
+	e.string(Version)
+	writeGraph(e, g)
+}
+
+// writeMachine encodes what follows the graph in a problem's prefix: the
+// power model, then the platform and fault-tolerance blocks.
+func writeMachine(e *encoder, p *Problem) {
 	m := p.Model
 	if m == nil {
 		m = defaultModel()
@@ -204,17 +215,10 @@ type Hasher struct {
 // MaxProcs and Approach on p are ignored; Cell supplies them. Its cells
 // agree with Sum of the equivalent Problem.
 func NewProblemHasher(p Problem) *Hasher {
-	hr := &Hasher{prefix: p}
 	e := getEncoder()
 	defer encoderPool.Put(e)
 	writePrefix(e, &p)
-	e.flush()
-	if mb, ok := e.h.(encoding.BinaryMarshaler); ok {
-		if st, err := mb.MarshalBinary(); err == nil {
-			hr.state = st
-		}
-	}
-	return hr
+	return &Hasher{prefix: p, state: e.snapshot()}
 }
 
 // Cell returns the digest of the prefix problem with the given deadline,
@@ -222,17 +226,46 @@ func NewProblemHasher(p Problem) *Hasher {
 func (hr *Hasher) Cell(deadline float64, maxProcs int, approach string) string {
 	e := getEncoder()
 	defer encoderPool.Put(e)
-	restored := false
-	if hr.state != nil {
-		if ub, ok := e.h.(encoding.BinaryUnmarshaler); ok {
-			restored = ub.UnmarshalBinary(hr.state) == nil
-		}
-	}
-	if !restored {
-		e.h.Reset()
+	if !e.restore(hr.state) {
 		writePrefix(e, &hr.prefix)
 	}
 	writeCell(e, deadline, maxProcs, approach)
+	return e.sum()
+}
+
+// GraphState derives the digests of many problems on one graph — a graph
+// that comes back under other deadlines, approaches, machines or fault
+// requests. The version string and the graph are hashed once and the
+// state snapshot reused, so each Sum encodes only the machine, the
+// fault-tolerance request and the cell. GraphState.Sum and Sum are
+// guaranteed to agree: both write through the same encoder functions.
+// A GraphState is immutable and safe for concurrent use.
+type GraphState struct {
+	g     *dag.Graph
+	state []byte // marshaled sha256 state after the graph; nil = recompute
+}
+
+// NewGraphState hashes the head of every problem stream on g.
+func NewGraphState(g *dag.Graph) GraphState {
+	e := getEncoder()
+	defer encoderPool.Put(e)
+	writeHead(e, g)
+	return GraphState{g: g, state: e.snapshot()}
+}
+
+// Size returns the bytes the state holds beyond the graph it refers to.
+func (gs GraphState) Size() int { return len(gs.state) }
+
+// Sum returns Sum(p) for a problem whose Graph is the graph gs was made
+// from; p.Graph itself is not read.
+func (gs GraphState) Sum(p Problem) string {
+	e := getEncoder()
+	defer encoderPool.Put(e)
+	if !e.restore(gs.state) {
+		writeHead(e, gs.g)
+	}
+	writeMachine(e, &p)
+	writeCell(e, p.Deadline, p.MaxProcs, p.Approach)
 	return e.sum()
 }
 
@@ -263,6 +296,30 @@ func getEncoder() *encoder {
 	e.h.Reset()
 	e.buf = e.buf[:0]
 	return e
+}
+
+// snapshot flushes the stream and returns the marshaled hash state, or
+// nil if the hash cannot marshal it.
+func (e *encoder) snapshot() []byte {
+	e.flush()
+	if mb, ok := e.h.(encoding.BinaryMarshaler); ok {
+		if st, err := mb.MarshalBinary(); err == nil {
+			return st
+		}
+	}
+	return nil
+}
+
+// restore sets the hash to a snapshot's state and reports whether it did.
+// On false the hash is fresh and the caller writes the stream itself.
+func (e *encoder) restore(state []byte) bool {
+	if state != nil {
+		if ub, ok := e.h.(encoding.BinaryUnmarshaler); ok && ub.UnmarshalBinary(state) == nil {
+			return true
+		}
+		e.h.Reset()
+	}
+	return false
 }
 
 // flush hands the buffered stream to the hash.

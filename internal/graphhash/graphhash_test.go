@@ -266,3 +266,31 @@ func TestHasherWithoutSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphStateMatchesSum pins the serving layer's interned-graph digest
+// to the canonical encoding: for every corpus problem, the digest derived
+// from the graph-only state must equal Sum of the full problem, under any
+// machine, fault request and cell, and with the snapshot missing.
+func TestGraphStateMatchesSum(t *testing.T) {
+	pf, err := power.Homogeneous(4, power.Default70nm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range corpus(t) {
+		gs := NewGraphState(p.Graph)
+		slow := gs
+		slow.state = nil // force the recompute fallback
+		variants := []Problem{p, p, p}
+		variants[1].Platform, variants[1].Deadline = pf, 0.25
+		variants[2].FaultsK, variants[2].FaultsPolicy, variants[2].MaxProcs = 1, "backup-anywhere", 3
+		for i, q := range variants {
+			want := Sum(q)
+			if got := gs.Sum(q); got != want {
+				t.Errorf("%s variant %d: GraphState.Sum = %s, Sum = %s", name, i, got, want)
+			}
+			if got := slow.Sum(q); got != want {
+				t.Errorf("%s variant %d: fallback GraphState.Sum = %s, Sum = %s", name, i, got, want)
+			}
+		}
+	}
+}

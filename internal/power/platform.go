@@ -31,7 +31,10 @@ type CoreClass struct {
 // stretches the whole timeline uniformly, exactly as a single model's DVS
 // level does.
 //
-// A Platform is immutable after construction and safe for concurrent use.
+// A Platform is immutable after construction — its class models are built
+// before it is made and its operating grid is derived in NewPlatform — and
+// safe for any number of concurrent readers, so one Platform may be shared by every run and
+// request that names it (lampsd interns request platforms this way).
 type Platform struct {
 	classes []CoreClass
 	procs   []int // processor index -> class index

@@ -23,28 +23,35 @@ func (w *nullResponseWriter) WriteHeader(int)             {}
 // TestScheduleWarmCacheHitAllocBound pins the handler-layer allocation cost
 // of a warm cache hit on POST /v1/schedule. A hit never renders or marshals
 // anything — the cached bytes go straight to the wire — so the remaining
-// allocations are request decoding, graph construction and digest hashing.
-// The budgets are bounds with headroom over the measured steady state, not
-// zero; their job is to fail if the hit path ever starts re-encoding the
-// response, or if decode, build or digest starts allocating per task or
-// per edge: the 1000-task case costs almost exactly what the 4-task one
-// does. `make alloc-gate` enforces the strict bounds (no -race).
+// allocations are reading the request, the digest and the response. The
+// hit cases repeat one body, so their graph comes from the intern table;
+// the intern-miss case renames the graph on every request — names stay
+// out of the digest, so it is still a result-cache hit — and so decodes
+// and builds the graph each time, and stores it in the table. The budgets
+// are bounds with headroom over the measured steady state, not zero; their
+// job is to fail if the hit path ever starts re-encoding the response, or
+// if decode, build, interning or digest starts allocating per task or per
+// edge: the 1000-task cases cost almost exactly what the 4-task one does.
+// `make alloc-gate` enforces the strict bounds (no -race).
 func TestScheduleWarmCacheHitAllocBound(t *testing.T) {
 	big, err := taskgen.Member(1000, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	layered := taskgen.Coarse.Scale(big)
 	cases := []struct {
 		name    string
 		payload []byte
-		budget  float64 // about 10% over the measured 28 and 30
+		rename  bool    // give the graph a new name on every request
+		budget  float64 // about 10% over the measured 8, 8 and 32
 	}{
-		{"diamond4", []byte(`{"approach":"lamps","graph":{"tasks":[{"weight_cycles":400},{"weight_cycles":300},{"weight_cycles":200},{"weight_cycles":100}],"edges":[[0,1],[0,2],[1,3],[2,3]]},"deadline_factor":1.8}`), 31},
-		{"layered1000", requestBody(t, taskgen.Coarse.Scale(big)), 33},
+		{"diamond4", []byte(`{"approach":"lamps","graph":{"tasks":[{"weight_cycles":400},{"weight_cycles":300},{"weight_cycles":200},{"weight_cycles":100}],"edges":[[0,1],[0,2],[1,3],[2,3]]},"deadline_factor":1.8}`), false, 9},
+		{"layered1000", requestBody(t, layered), false, 9},
+		{"layered1000_intern_miss", requestBody(t, layered.Rename(renamePrefix+"000000000")), true, 35},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			allocs := warmHitAllocs(t, tc.payload)
+			allocs := warmHitAllocs(t, tc.payload, tc.rename)
 			budget := tc.budget
 			if raceEnabled {
 				budget *= 4
@@ -57,10 +64,16 @@ func TestScheduleWarmCacheHitAllocBound(t *testing.T) {
 	}
 }
 
+// renamePrefix starts the graph name warmHitAllocs rewrites in place: the
+// nine digits after it count the requests.
+const renamePrefix = "intern-miss-"
+
 // warmHitAllocs serves payload once to warm the cache, checks that a second
 // request is a byte-identical hit, and returns the steady-state allocations
-// of one hit.
-func warmHitAllocs(t *testing.T, payload []byte) float64 {
+// of one hit. With rename, every measured request first writes a new
+// count into the digits after renamePrefix in the payload, and must miss
+// the intern table.
+func warmHitAllocs(t *testing.T, payload []byte, rename bool) float64 {
 	t.Helper()
 	srv := New(Options{})
 	warm := httptest.NewRecorder()
@@ -79,15 +92,35 @@ func warmHitAllocs(t *testing.T, payload []byte) float64 {
 
 	// Steady state: reuse the request, body reader and header map so the
 	// measurement covers the handler, not the test harness.
+	var digits []byte
+	if rename {
+		at := bytes.Index(payload, []byte(renamePrefix)) + len(renamePrefix)
+		digits = payload[at : at+9]
+	}
+	count := 0
 	rd := bytes.NewReader(payload)
 	body := io.NopCloser(rd)
 	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", body)
 	w := &nullResponseWriter{h: make(http.Header)}
-	return testing.AllocsPerRun(200, func() {
+	before := srv.intern.stats()
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, func() {
+		if rename {
+			count++
+			for i, c := 8, count; i >= 0; i, c = i-1, c/10 {
+				digits[i] = byte('0' + c%10)
+			}
+		}
 		rd.Reset(payload)
 		req.Body = body // handleSchedule wraps Body in MaxBytesReader
 		srv.handleSchedule(w, req)
 	})
+	after := srv.intern.stats()
+	hits, misses := after.hits[internGraph]-before.hits[internGraph], after.misses[internGraph]-before.misses[internGraph]
+	if want := uint64(runs + 1); rename && misses != want || !rename && hits != want {
+		t.Fatalf("intern table: %d graph hits, %d misses over %d requests (rename %v)", hits, misses, want, rename)
+	}
+	return allocs
 }
 
 // requestBody marshals a LAMPS request for g at a 2x deadline, the way a

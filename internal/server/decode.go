@@ -45,28 +45,30 @@ func putBody(buf *bytes.Buffer) {
 	}
 }
 
-// decodeRequest parses a /v1/schedule body; prepare validates it. Size
+// prepareBody reads, decodes and prepares one /v1/schedule body. Size
 // overruns from http.MaxBytesReader surface here as 413.
 //
 // The canonical spelling of a request — what a client marshaling a struct
-// typically sends — is parsed by decodeCanonical without reflection. Anything
-// else falls back to encoding/json over the same bytes, which therefore
-// remains the single source of every accepted non-canonical spelling and of
-// every decode error message.
-func decodeRequest(body io.Reader) (*scheduleRequest, error) {
+// typically sends — is parsed by decodeInterned without reflection, its
+// "graph" and "platform" values through the server's intern table.
+// Anything else falls back to encoding/json over the same bytes, which
+// therefore remains the single source of every accepted non-canonical
+// spelling and of every decode error message. The body buffer is held
+// until prepare has stored what it built.
+func (s *Server) prepareBody(body io.Reader) (prepared, error) {
 	buf, err := readBody(body)
 	if err != nil {
-		return nil, err
+		return prepared{}, err
 	}
 	defer putBody(buf)
 	req := new(scheduleRequest)
-	if !decodeCanonical(buf.Bytes(), req) {
+	if !decodeInterned(buf.Bytes(), req, s.intern) {
 		*req = scheduleRequest{}
 		if err := decodeJSON(buf.Bytes(), req); err != nil {
-			return nil, err
+			return prepared{}, err
 		}
 	}
-	return req, nil
+	return s.prepare(req)
 }
 
 // decodeJSON is the reference decoder: encoding/json with unknown fields
@@ -100,14 +102,36 @@ func decodeJSON(data []byte, req *scheduleRequest) error {
 // On false req is left partially filled and must be discarded. There is no
 // error reporting here: the fallback reports every error.
 func decodeCanonical(data []byte, req *scheduleRequest) bool {
+	return decodeInterned(data, req, nil)
+}
+
+// decodeInterned is decodeCanonical through the intern table tab (nil: no
+// table). A "graph" or "platform" value whose exact bytes tab holds is
+// skipped, not parsed, and its entry recorded in req.interned in place of
+// Graph or Platform. This is exact: a stored value decoded canonically, so
+// parsing the same bytes would yield what was built from them, and a JSON
+// object ends at its own closing brace, so where it ends does not depend on
+// what follows. Any other graph or platform value is parsed as usual and,
+// with a table, recorded to be stored once built.
+func decodeInterned(data []byte, req *scheduleRequest, tab *internTable) bool {
 	s := scanner{b: data}
 	if !s.fields(func(key []byte) bool {
 		switch string(key) {
 		case "approach":
 			return s.string(&req.Approach)
 		case "graph":
+			if req.interned.graph = s.interned(tab, internGraph); req.interned.graph != nil {
+				return true
+			}
+			start := s.i
 			req.Graph = new(graphSpec)
-			return s.graph(req.Graph)
+			if !s.graph(req.Graph) {
+				return false
+			}
+			if tab != nil {
+				req.interned.graphRaw = s.b[start:s.i]
+			}
+			return true
 		case "stg":
 			return s.string(&req.STG)
 		case "deadline_sec":
@@ -117,12 +141,17 @@ func decodeCanonical(data []byte, req *scheduleRequest) bool {
 		case "max_procs":
 			return s.int(&req.MaxProcs)
 		case "platform":
-			s.space()
+			if req.interned.platform = s.interned(tab, internPlatform); req.interned.platform != nil {
+				return true
+			}
 			start := s.i
 			if !s.value(0) {
 				return false
 			}
 			req.Platform = append(json.RawMessage(nil), s.b[start:s.i]...)
+			if tab != nil {
+				req.interned.platformRaw = req.Platform
+			}
 			return true
 		case "faults":
 			req.Faults = new(faultsSpec)
@@ -262,6 +291,21 @@ func (s *scanner) length() int {
 		}
 	}
 	return 0
+}
+
+// interned skips whitespace and looks the object at the scanner's position
+// up in tab, and on a hit moves past it. With a nil tab it only skips
+// whitespace.
+func (s *scanner) interned(tab *internTable, kind internKind) *internEntry {
+	s.space()
+	if tab == nil || s.i == len(s.b) || s.b[s.i] != '{' {
+		return nil
+	}
+	e := tab.get(kind, s.b[s.i:])
+	if e != nil {
+		s.i += len(e.raw)
+	}
+	return e
 }
 
 // str returns the contents of a string of printable ASCII without escapes.

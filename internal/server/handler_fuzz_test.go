@@ -23,38 +23,51 @@ import (
 // /v1/schedule handler with SelfCheck on, so every schedule and breakdown
 // the server would return is also re-derived by the independent verifier.
 // The property: a request is answered 200, 400, 413 or 422 — never a 500 or
-// a panic, whatever the body — and a 200 repeated verbatim is a cache hit
-// with a byte-identical body. The seeds in testdata/fuzz/FuzzScheduleHandler
-// cover homogeneous, platform and fault-tolerant requests and a platform
-// whose slot stretch takes a small graph past the cycle envelope.
+// a panic, whatever the body — and the answer does not depend on the
+// server's intern table. Each body goes twice to one long-lived server
+// with the result cache off, whose intern table holds the graph and
+// platform values of every earlier input, so the first request may miss
+// the table or hit it and the second hits it wherever the first stored;
+// then twice to a fresh server. All four answers must agree in status and
+// body bytes (an error's body is its message), and the fresh server's
+// repeat of a 200 must be a result-cache hit. The seeds in
+// testdata/fuzz/FuzzScheduleHandler cover homogeneous, platform and
+// fault-tolerant requests, a platform whose slot stretch takes a small
+// graph past the cycle envelope, a canonical graph with a cycle, one over
+// the task limit, and graphs one weight, one label or only whitespace away
+// from an interned one.
 func FuzzScheduleHandler(f *testing.F) {
-	h := server.New(server.Options{
+	opts := server.Options{
 		MaxTasks:     16,
 		MaxBodyBytes: 16 << 10,
 		SelfCheck:    true,
 		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}).Handler()
-	serve := func(body []byte) *httptest.ResponseRecorder {
+	}
+	uncached := opts
+	uncached.CacheSize = -1
+	shared := server.New(uncached).Handler()
+	serve := func(h http.Handler, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
 		return rec
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		first := serve(body)
+		first := serve(shared, body)
 		switch first.Code {
-		case http.StatusOK:
-		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
-			return
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
 		default:
 			t.Fatalf("status %d for %q: %s", first.Code, body, first.Body.Bytes())
 		}
-		again := serve(body)
-		if again.Code != http.StatusOK || again.Header().Get(server.CacheHeader) != "hit" {
-			t.Fatalf("repeat of a 200 answered %d (%s %q) for %q",
-				again.Code, server.CacheHeader, again.Header().Get(server.CacheHeader), body)
-		}
-		if !bytes.Equal(first.Body.Bytes(), again.Body.Bytes()) {
-			t.Fatalf("cache hit body differs for %q:\nfirst %s\nhit   %s", body, first.Body.Bytes(), again.Body.Bytes())
+		fresh := server.New(opts).Handler()
+		for i, rec := range []*httptest.ResponseRecorder{serve(shared, body), serve(fresh, body), serve(fresh, body)} {
+			if rec.Code != first.Code || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("answer %d of %q differs from the first:\nfirst %d %s\nthen  %d %s",
+					i+2, body, first.Code, first.Body.Bytes(), rec.Code, rec.Body.Bytes())
+			}
+			if i == 2 && rec.Code == http.StatusOK && rec.Header().Get(server.CacheHeader) != "hit" {
+				t.Fatalf("repeat of a 200 on a fresh server answered %s %q for %q",
+					server.CacheHeader, rec.Header().Get(server.CacheHeader), body)
+			}
 		}
 	})
 }

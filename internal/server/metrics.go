@@ -400,6 +400,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE lampsd_schedule_memo_bytes gauge\n")
 	fmt.Fprintf(w, "lampsd_schedule_memo_bytes %d\n", ms.Bytes)
 
+	is := s.intern.stats()
+	fmt.Fprintf(w, "# HELP lampsd_intern_hits_total /v1/schedule graph and platform values found in the intern table by their bytes, so not decoded or built.\n")
+	fmt.Fprintf(w, "# TYPE lampsd_intern_hits_total counter\n")
+	for k, name := range internKindNames {
+		fmt.Fprintf(w, "lampsd_intern_hits_total{kind=%q} %d\n", name, is.hits[k])
+	}
+	fmt.Fprintf(w, "# HELP lampsd_intern_misses_total /v1/schedule graph and platform values looked up in the intern table and not found.\n")
+	fmt.Fprintf(w, "# TYPE lampsd_intern_misses_total counter\n")
+	for k, name := range internKindNames {
+		fmt.Fprintf(w, "lampsd_intern_misses_total{kind=%q} %d\n", name, is.misses[k])
+	}
+	fmt.Fprintf(w, "# HELP lampsd_intern_bytes Estimated bytes of request values and the graphs and platforms built from them that the intern table holds.\n")
+	fmt.Fprintf(w, "# TYPE lampsd_intern_bytes gauge\n")
+	fmt.Fprintf(w, "lampsd_intern_bytes %d\n", is.bytes)
+
 	fmt.Fprintf(w, "# TYPE lampsd_workers gauge\n")
 	fmt.Fprintf(w, "lampsd_workers %d\n", s.pool.Cap())
 	fmt.Fprintf(w, "# TYPE lampsd_inflight gauge\n")

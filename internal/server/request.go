@@ -50,6 +50,10 @@ type scheduleRequest struct {
 	// worst-case recovery. {"k": 0} (or omitting the block) is exactly the
 	// non-tolerant problem — same digest, same bytes.
 	Faults *faultsSpec `json:"faults,omitempty"`
+
+	// interned links the request to the server's intern table: the graph
+	// and platform found there, or the values to store once built.
+	interned internRefs
 }
 
 // faultsSpec is the fault-tolerance request block shared by /v1/schedule,
@@ -161,7 +165,7 @@ func canonicalApproach(name string) (string, error) {
 // validate checks the structural invariants of a scheduleRequest that
 // decoding leaves open; prepare runs it first.
 func (req *scheduleRequest) validate() error {
-	if (req.Graph == nil) == (req.STG == "") {
+	if (req.Graph == nil && req.interned.graph == nil) == (req.STG == "") {
 		return badRequest("exactly one of \"graph\" and \"stg\" must be set")
 	}
 	if (req.DeadlineSec > 0) == (req.DeadlineFactor > 0) {
@@ -200,17 +204,61 @@ func (s *Server) prepare(req *scheduleRequest) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	g, err := s.buildGraph(req.Graph, req.STG)
+	g, digest, err := s.requestGraph(req)
 	if err != nil {
 		return prepared{}, err
 	}
-	cfg, err := s.machine(req.Platform, faults)
+	pf, err := s.requestPlatform(req)
 	if err != nil {
 		return prepared{}, err
 	}
+	cfg := s.machine(pf, faults)
 	cfg.Deadline = deadline(&cfg, g, req.DeadlineSec, req.DeadlineFactor)
 	cfg.MaxProcs = req.MaxProcs
-	return prepared{approach, g, cfg, graphhash.Sum(problem(approach, g, cfg))}, nil
+	prob := problem(approach, g, cfg)
+	if digest != nil {
+		return prepared{approach, g, cfg, digest.Sum(prob)}, nil
+	}
+	return prepared{approach, g, cfg, graphhash.Sum(prob)}, nil
+}
+
+// requestGraph resolves a request's task graph: the interned graph its
+// bytes name, with its digest state, or one built from the request —
+// stored in the intern table, with a digest state, when its bytes decoded
+// canonically through the table. A graph built from anything else comes
+// with a nil state.
+func (s *Server) requestGraph(req *scheduleRequest) (*dag.Graph, *graphhash.GraphState, error) {
+	if e := req.interned.graph; e != nil {
+		return e.graph, &e.digest, nil
+	}
+	g, err := s.buildGraph(req.Graph, req.STG)
+	if err != nil || req.interned.graphRaw == nil {
+		return g, nil, err
+	}
+	e := &internEntry{kind: internGraph, graph: g, digest: graphhash.NewGraphState(g)}
+	s.intern.put(e, req.interned.graphRaw)
+	return g, &e.digest, nil
+}
+
+// requestPlatform resolves a request's platform block: the interned
+// platform its bytes name, or one loaded from them — stored in the intern
+// table when they decoded canonically through the table — or nil when the
+// request has none. A malformed block is a 400.
+func (s *Server) requestPlatform(req *scheduleRequest) (*power.Platform, error) {
+	if e := req.interned.platform; e != nil {
+		return e.platform, nil
+	}
+	if len(req.Platform) == 0 {
+		return nil, nil
+	}
+	pf, err := power.LoadPlatformJSON(bytes.NewReader(req.Platform))
+	if err != nil {
+		return nil, badRequest("invalid platform: %v", err)
+	}
+	if req.interned.platformRaw != nil {
+		s.intern.put(&internEntry{kind: internPlatform, platform: pf}, req.interned.platformRaw)
+	}
+	return pf, nil
 }
 
 // buildGraph materialises a task graph from exactly one of an inline spec
@@ -253,24 +301,20 @@ func (s *Server) buildGraph(spec *graphSpec, stgText string) (*dag.Graph, error)
 }
 
 // machine starts a request's core.Config: the machine it is scheduled on —
-// its own platform block, else the server's default platform, else the
+// its own platform pf, else the server's default platform, else the
 // server's single model — plus the faults and self-check settings. With a
 // platform, Config.Model stays nil so the digest and the engine agree on
-// which machine description is authoritative. A malformed platform block
-// is a 400; /v1/sweep has none and passes nil.
-func (s *Server) machine(platform json.RawMessage, faults *core.FaultConfig) (core.Config, error) {
+// which machine description is authoritative. /v1/sweep has no platform
+// block and passes nil.
+func (s *Server) machine(pf *power.Platform, faults *core.FaultConfig) core.Config {
 	cfg := core.Config{Model: s.opts.Model, Platform: s.opts.Platform, Faults: faults, SelfCheck: s.opts.SelfCheck}
-	if len(platform) > 0 {
-		pf, err := power.LoadPlatformJSON(bytes.NewReader(platform))
-		if err != nil {
-			return core.Config{}, badRequest("invalid platform: %v", err)
-		}
+	if pf != nil {
 		cfg.Platform = pf
 	}
 	if cfg.Platform != nil {
 		cfg.Model = nil
 	}
-	return cfg, nil
+	return cfg
 }
 
 // deadline converts the two deadline forms onto absolute seconds on cfg's

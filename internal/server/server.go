@@ -174,6 +174,7 @@ type Server struct {
 	pool      *workpool.Pool     // one slot per executing scheduling run
 	search    *workpool.Pool     // intra-run search parallelism (nil = serial)
 	memo      *core.ScheduleMemo // list schedules shared by every request's runs
+	intern    *internTable       // request graphs and platforms by their bytes
 	cache     *cache.LRU
 	store     *store.Store // nil = no persistence
 	admission *admission   // per-cost-class front door to the pool
@@ -217,6 +218,7 @@ func New(opts Options) *Server {
 		pool:    workpool.NewPool(opts.Workers),
 		cache:   cache.New(opts.CacheSize),
 		memo:    core.NewScheduleMemo(),
+		intern:  newInternTable(InternBudget),
 		store:   opts.Store,
 		metrics: newMetrics(),
 		log:     opts.Logger,
@@ -332,12 +334,7 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // then cache hit / coalesce / schedule, in that order of preference.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	req, err := decodeRequest(r.Body)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, err := s.prepare(req)
+	p, err := s.prepareBody(r.Body)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -132,7 +132,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every cell runs on the server's default machine with the sweep-wide
 	// faults, exactly as a single-shot request with the same block would.
-	base, _ := s.machine(nil, faults) // no platform block, so no error
+	base := s.machine(nil, faults)
 
 	type axis struct {
 		sec    float64
